@@ -70,6 +70,7 @@ from repro.algorithms.traced_heap import TracedBinaryHeap
 from repro.algorithms.triangles import (
     triangle_count,
     triangle_count_traced,
+    triangle_count_traced_scalar,
 )
 from repro.algorithms.union_find import UnionFind
 from repro.algorithms.wcc import (
@@ -117,6 +118,7 @@ __all__ = [
     "weakly_connected_components_traced",
     "triangle_count",
     "triangle_count_traced",
+    "triangle_count_traced_scalar",
     "label_propagation",
     "label_propagation_traced",
     "label_propagation_traced_scalar",

@@ -66,6 +66,7 @@ from repro.algorithms.wkcore import (
 from repro.algorithms.triangles import (
     triangle_count,
     triangle_count_traced,
+    triangle_count_traced_scalar,
 )
 from repro.algorithms.wcc import (
     weakly_connected_components,
@@ -147,6 +148,7 @@ REGISTRY: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             "tc", "TC", triangle_count, triangle_count_traced,
             headline=False,
+            traced_scalar=triangle_count_traced_scalar,
         ),
         AlgorithmSpec(
             "lp", "LP", label_propagation, label_propagation_traced,

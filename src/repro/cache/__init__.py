@@ -7,13 +7,20 @@ from repro.cache.hierarchy import (
     paper_hierarchy,
     scaled_hierarchy,
 )
-from repro.cache.layout import CACHE_BACKENDS, Memory, TracedArray
+from repro.cache.layout import (
+    CACHE_BACKENDS,
+    Memory,
+    TracedArray,
+    chunk_accesses,
+    replay_fallbacks,
+)
 from repro.cache.level import CacheLevel
 from repro.cache.replay import (
     CacheTrace,
     TraceBuffer,
     count_prior_greater,
     hit_mask,
+    lru_contents,
     lru_hit_mask,
     stack_distances,
 )
@@ -36,10 +43,13 @@ __all__ = [
     "Memory",
     "TracedArray",
     "CACHE_BACKENDS",
+    "chunk_accesses",
+    "replay_fallbacks",
     "CacheTrace",
     "TraceBuffer",
     "count_prior_greater",
     "hit_mask",
+    "lru_contents",
     "lru_hit_mask",
     "stack_distances",
     "CacheStats",

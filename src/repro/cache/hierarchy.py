@@ -22,7 +22,6 @@ import numpy as np
 
 from repro import obs
 from repro.cache.level import CacheLevel
-from repro.cache.replay import hit_mask
 from repro.cache.stats import CacheStats
 from repro.errors import InvalidParameterError
 
@@ -85,20 +84,22 @@ class CacheHierarchy:
         return all(level.policy == "lru" for level in self.levels)
 
     def replay(self, lines) -> np.ndarray:
-        """Vectorised cold-start replay of a line-id access trace.
+        """Vectorised replay of a line-id access trace.
 
         Equivalent to calling :meth:`access` once per entry of
-        ``lines`` on a freshly flushed hierarchy, as far as every
-        level's ``refs``/``misses`` counters and each access's serving
-        level are concerned.  Each level is classified array-wise with
-        :func:`~repro.cache.replay.hit_mask`; the reference stream
-        of level N+1 is the miss stream of level N (the non-exclusive
-        fill model makes that exact).
+        ``lines``: every level's ``refs``/``misses`` counters, each
+        access's serving level and the final cache contents all match
+        stepping.  Replay starts from the hierarchy's current contents
+        and leaves its final contents in place, so a long trace can be
+        replayed chunk by chunk, interleaved with scalar accesses, with
+        step-identical results.  Each level is classified array-wise by
+        :meth:`CacheLevel.replay`; the reference stream of level N+1 is
+        the miss stream of level N (the non-exclusive fill model makes
+        that exact).
 
-        Counters are *incremented* — call on a cold (flushed)
-        hierarchy for step-identical numbers.  Cache *contents* are
-        left untouched: the replay computes what would have happened
-        without materialising the final residency.
+        The first level keeps ``lines`` **by reference** to settle its
+        final contents lazily, so the caller must not mutate the array
+        until the next replay or access (``Memory`` never does).
 
         Returns the 1-based serving level per access
         (:data:`MEMORY_LEVEL` for accesses that fell through).
@@ -123,12 +124,8 @@ class CacheHierarchy:
             for depth, level in enumerate(self.levels, start=1):
                 if stream.shape[0] == 0:
                     break
-                hits = hit_mask(
-                    stream, level.num_sets, level.associativity
-                )
+                hits = level.replay(stream)
                 misses = ~hits
-                level.refs += int(stream.shape[0])
-                level.misses += int(misses.sum())
                 serving[origin[hits]] = depth
                 stream = stream[misses]
                 origin = origin[misses]
@@ -138,11 +135,9 @@ class CacheHierarchy:
         """Scalar reference replay: one :meth:`access` per entry.
 
         The oracle :meth:`replay` is checked against — identical
-        counter and serving-level semantics — but built on the plain
-        per-access step path, so it works for *any* replacement
-        policy.  Unlike :meth:`replay` it also materialises the final
-        cache contents, exactly as live stepping would.  Call on a
-        cold (flushed) hierarchy for step-identical numbers.
+        counter, serving-level and final-content semantics — but built
+        on the plain per-access step path, so it works for *any*
+        replacement policy.
         """
         stream = np.ascontiguousarray(lines, dtype=np.int64)
         access = self.access

@@ -14,29 +14,72 @@ exactly the effect a graph ordering manipulates.
 
 Two interchangeable simulation backends (see docs/performance.md):
 
+* ``"replay"`` (the default) — touches are recorded into a trace
+  buffer (:class:`~repro.cache.replay.TraceBuffer`) that is replayed
+  vectorised through :meth:`CacheHierarchy.replay` in bounded chunks
+  as it fills, and once more for the remainder when a result is read.
+  Replay carries the cache contents from chunk to chunk, so memory
+  stays bounded however long the trace grows and the counters are
+  byte-identical to stepping.  Hierarchies replay cannot model exactly
+  (non-LRU levels, or wrappers such as
+  :class:`~repro.cache.reuse.RecordingHierarchy`) step instead; each
+  such fallback counts on ``cache.replay.fallback``
+  (:func:`replay_fallbacks`).
 * ``"step"`` — every touch steps the hierarchy inline, one scalar
   :meth:`CacheHierarchy.access` at a time.  The reference oracle;
   works for every replacement policy and for wrapper hierarchies.
-* ``"replay"`` — touches are recorded into growable trace buffers
-  (:class:`~repro.cache.replay.TraceBuffer`) and replayed vectorised
-  through :meth:`CacheHierarchy.replay` the first time a result is
-  read.  Byte-identical counters for all-LRU hierarchies, much
-  faster; unsupported geometries silently fall back to stepping.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from repro import obs
 from repro.cache.cost import DEFAULT_COST_MODEL, CostModel, RunCost
 from repro.cache.hierarchy import CacheHierarchy, scaled_hierarchy
-from repro.cache.replay import CacheTrace, TraceBuffer
+from repro.cache.replay import TraceBuffer
 from repro.cache.stats import CacheStats
 from repro.errors import InvalidParameterError
 
 #: Cache simulation backends accepted by :class:`Memory`.
 CACHE_BACKENDS = ("step", "replay")
+
+#: Fewest accesses a replaying :class:`Memory` buffers before it
+#: replays them: below this, numpy's per-call overhead dominates.
+MIN_CHUNK_ACCESSES = 1 << 16
+
+#: Chunks hold at least this many accesses per line of total cache
+#: capacity, so the carried-state prefix each chunk replays first (one
+#: access per resident line) stays a small share of the chunk.
+CHUNK_LINES_FACTOR = 8
+
+
+def chunk_accesses(hierarchy: CacheHierarchy) -> int:
+    """Accesses a replaying :class:`Memory` buffers per chunk."""
+    lines = sum(
+        level.num_sets * level.associativity for level in hierarchy.levels
+    )
+    return max(MIN_CHUNK_ACCESSES, CHUNK_LINES_FACTOR * lines)
+
+
+_fallback_lock = threading.Lock()
+_fallbacks = 0
+
+
+def replay_fallbacks() -> int:
+    """Memories that asked for replay but step (always counted, also
+    while telemetry is off; mirrored to ``cache.replay.fallback``)."""
+    with _fallback_lock:
+        return _fallbacks
+
+
+def _count_fallback() -> None:
+    global _fallbacks
+    with _fallback_lock:
+        _fallbacks += 1
+    obs.inc("cache.replay.fallback")
 
 
 class TracedArray:
@@ -84,8 +127,10 @@ class TracedArray:
         memory = self._memory
         line = (self._base + index * self.itemsize) >> memory._line_shift
         if memory._record:
-            memory._trace.touches.append(line)
-            memory._dirty = True
+            touches = memory._trace.touches
+            touches.append(line)
+            if len(touches) >= memory._chunk:
+                memory._replay_buffer()
         else:
             memory._level_counts[memory._hierarchy.access(line)] += 1
 
@@ -116,7 +161,7 @@ class TracedArray:
             memory._trace.record_many(
                 idx, self._base, self.itemsize, self.length, self.name
             )
-            memory._dirty = True
+            memory._buffered()
             return
         idx = idx.astype(np.int64, copy=False)
         if int(idx.min()) < 0 or int(idx.max()) >= self.length:
@@ -162,7 +207,7 @@ class TracedArray:
             memory._trace.record_run(
                 first_line, last_line - first_line + 1, count
             )
-            memory._dirty = True
+            memory._buffered()
             return
         counts = memory._level_counts
         access = memory._hierarchy.access
@@ -230,7 +275,7 @@ class TracedArray:
                 self._base + (s + c - 1) * self.itemsize
             ) >> np.int64(shift)
             memory._trace.record_runs(first, last - first + 1, c)
-            memory._dirty = True
+            memory._buffered()
             return
         for start, count in zip(s.tolist(), c.tolist()):
             self.touch_run(start, count)
@@ -272,11 +317,9 @@ class Memory:
     """Simulated address space + cache hierarchy + cost accounting.
 
     ``cache_backend`` selects the simulation strategy (see the module
-    docstring): ``"step"`` is the scalar oracle, ``"replay"`` records
-    a trace and replays it vectorised.  Replay silently degrades to
-    stepping when the hierarchy cannot be replayed exactly (non-LRU
-    levels, or wrappers such as
-    :class:`~repro.cache.reuse.RecordingHierarchy`), so results are
+    docstring): ``"replay"`` (the default) records the trace and
+    replays it vectorised in chunks of :func:`chunk_accesses`
+    accesses, ``"step"`` is the scalar oracle.  Results are
     backend-independent by construction.
     """
 
@@ -284,7 +327,7 @@ class Memory:
         self,
         hierarchy: CacheHierarchy | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        cache_backend: str = "step",
+        cache_backend: str = "replay",
     ) -> None:
         if cache_backend not in CACHE_BACKENDS:
             raise InvalidParameterError(
@@ -302,10 +345,12 @@ class Memory:
             and isinstance(self._hierarchy, CacheHierarchy)
             and self._hierarchy.supports_replay
         )
-        self._trace: TraceBuffer | None = (
-            TraceBuffer(self._line_shift) if self._record else None
+        if cache_backend == "replay" and not self._record:
+            _count_fallback()
+        self._trace = TraceBuffer(self._line_shift)
+        self._chunk = (
+            chunk_accesses(self._hierarchy) if self._record else 0
         )
-        self._dirty = False
         self._level_counts = [0] * (self._hierarchy.num_levels + 1)
         #: Pure-CPU cycles added via :meth:`work`.
         self.extra_work = 0.0
@@ -319,25 +364,17 @@ class Memory:
 
     @property
     def replaying(self) -> bool:
-        """Whether this memory actually records for vectorised replay
-        (False when ``cache_backend="replay"`` fell back to stepping).
+        """Whether this memory records for vectorised replay.
+
+        False for ``cache_backend="step"``, and also when
+        ``cache_backend="replay"`` was asked for but the hierarchy
+        cannot be replayed exactly — a level with a non-LRU policy, or
+        a wrapper that is not a :class:`CacheHierarchy` (such as
+        :class:`~repro.cache.reuse.RecordingHierarchy`).  Such a memory
+        steps every access; each fallback counts on
+        ``cache.replay.fallback`` (:func:`replay_fallbacks`).
         """
         return self._record
-
-    def recorded_trace(self) -> "CacheTrace":
-        """The touches recorded so far, frozen as a
-        :class:`~repro.cache.replay.CacheTrace` (replay backend only).
-
-        The public handle for benchmarks and tests that want to drive
-        :meth:`CacheHierarchy.replay` / :meth:`CacheHierarchy.step_trace`
-        on a real workload's trace directly.
-        """
-        if not self._record:
-            raise InvalidParameterError(
-                "recorded_trace() requires an actively recording "
-                "cache_backend='replay' memory"
-            )
-        return self._trace.freeze()
 
     def array(self, name: str, length: int, itemsize: int) -> TracedArray:
         """Declare (allocate) an array and return its traced handle.
@@ -407,7 +444,7 @@ class Memory:
             )
         if self._record:
             self._trace.record_block(lines, demand, extra_l1, prefetched)
-            self._dirty = True
+            self._buffered()
             return
         counts = self._level_counts
         access = self._hierarchy.access
@@ -422,53 +459,63 @@ class Memory:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def _ensure_replayed(self) -> None:
-        """Replay the recorded trace if results are stale.
+    def _buffered(self) -> None:
+        """Replay the buffer once a recorded segment fills a chunk."""
+        if self._trace.num_accesses >= self._chunk:
+            self._replay_buffer()
 
-        Replay always recomputes from the *full* retained trace (LRU
-        hit/miss depends on all prior state, so there is no exact
-        incremental form) and overwrites the hierarchy counters, which
-        keeps mid-run ``stats()`` calls exact.
+    def _replay_buffer(self) -> None:
+        """Replay and drop everything buffered since the last replay.
+
+        Replay is stateful (:meth:`CacheHierarchy.replay` starts from
+        the current cache contents and leaves the final ones), so
+        replaying the trace piece by piece — in chunks as the buffer
+        fills, and for the remainder whenever a result is read — gives
+        the counters one replay of the whole trace would.  A buffer
+        longer than a chunk (one large block) replays in chunk-sized
+        slices, which bounds the classifier's working memory too.
         """
-        if not self._record or not self._dirty:
+        if self._trace.empty:
             return
         trace = self._trace.freeze()
+        self._trace = TraceBuffer(self._line_shift)
+        lines = trace.lines
+        total = trace.num_accesses
         with obs.span(
-            "cache.replay",
-            accesses=trace.num_accesses,
-            demand=trace.num_demand,
+            "cache.replay", accesses=total, demand=trace.num_demand,
         ):
-            self._hierarchy.flush()
-            serving = self._hierarchy.replay(trace.lines)
+            serving = np.empty(total, dtype=np.int16)
+            for lo in range(0, total, self._chunk):
+                hi = lo + self._chunk
+                serving[lo:hi] = self._hierarchy.replay(lines[lo:hi])
             counts = np.bincount(
-                serving[trace.demand_idx],
+                serving[trace.demand],
                 minlength=self._hierarchy.num_levels + 1,
             )
-            self._level_counts = [int(c) for c in counts]
-            self._level_counts[1] += trace.extra_l1
-            self._prefetched_refs = trace.prefetched_refs
+            level_counts = self._level_counts
+            for depth, count in enumerate(counts.tolist()):
+                level_counts[depth] += count
+            level_counts[1] += trace.extra_l1
+            self._prefetched_refs += trace.prefetched_refs
         if obs.enabled():
             obs.inc("cache.replay.runs")
-            obs.inc("cache.replay.accesses", trace.num_accesses)
-        self._dirty = False
+            obs.inc("cache.replay.accesses", total)
 
     @property
     def level_counts(self) -> list[int]:
         """References by serving level: ``[memory, L1, L2, L3, ...]``.
 
         In replay mode reading this (or :meth:`stats`/:meth:`cost`)
-        triggers the lazy vectorised replay, so the numbers always
+        replays whatever is still buffered, so the numbers always
         reflect every touch recorded so far.
         """
-        self._ensure_replayed()
+        self._replay_buffer()
         return self._level_counts
 
     @property
     def prefetched_refs(self) -> int:
         """Sequential-scan references hidden by the stream prefetcher."""
-        if self._record:
-            return self._trace.prefetched_refs
-        return self._prefetched_refs
+        return self._prefetched_refs + self._trace.prefetched_refs
 
     @property
     def total_refs(self) -> int:
@@ -478,18 +525,16 @@ class Memory:
         :attr:`prefetched_refs`; they are requests the hardware issues
         on its own, not loads the program executes.
         """
-        if self._record:
-            return self._trace.total_refs
-        return sum(self._level_counts)
+        return sum(self._level_counts) + self._trace.total_refs
 
     def stats(self) -> CacheStats:
         """Hierarchy counters as a :class:`CacheStats` snapshot."""
-        self._ensure_replayed()
+        self._replay_buffer()
         return self._hierarchy.snapshot()
 
     def cost(self) -> RunCost:
         """Simulated cycle cost of everything traced so far."""
-        self._ensure_replayed()
+        self._replay_buffer()
         return self.cost_model.cost(
             self._level_counts, self.extra_work, self.prefetched_refs
         )
@@ -500,6 +545,4 @@ class Memory:
         self._level_counts = [0] * (self._hierarchy.num_levels + 1)
         self.extra_work = 0.0
         self._prefetched_refs = 0
-        if self._record:
-            self._trace = TraceBuffer(self._line_shift)
-            self._dirty = False
+        self._trace = TraceBuffer(self._line_shift)

@@ -7,6 +7,13 @@ first.  We exploit CPython's insertion-ordered ``dict`` for an O(1)
 LRU: a hit deletes and re-inserts the key (moving it to the back), an
 eviction pops the front.
 
+:meth:`CacheLevel.replay` classifies a whole reference stream at once
+(see :mod:`repro.cache.replay`) and leaves the level holding what
+stepping would have left.  Those final contents are settled lazily:
+the level keeps the stream it last replayed and derives the resident
+lines only when something reads them — the next replay (as its
+prefix), a scalar access, or an inspection.
+
 Geometry mirrors real hardware: ``capacity = num_sets * associativity
 * line_size``.  The experiment configs scale capacities down so that
 the scaled datasets overflow the hierarchy exactly as the paper's
@@ -17,6 +24,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
+from repro.cache.replay import hit_mask, lru_contents
 from repro.errors import InvalidParameterError
 
 
@@ -51,7 +61,7 @@ class CacheLevel:
     __slots__ = (
         "name", "capacity", "line_size", "associativity",
         "num_sets", "_set_mask", "_sets", "refs", "misses",
-        "policy", "seed", "_rng",
+        "policy", "seed", "_rng", "_pending",
     )
 
     POLICIES = ("lru", "fifo", "random")
@@ -102,6 +112,9 @@ class CacheLevel:
         self._rng = (
             random.Random(seed) if policy == "random" else None
         )
+        #: Stream of the last :meth:`replay` whose final contents are
+        #: not yet in ``_sets`` (which are stale while this is set).
+        self._pending: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def access(self, line: int) -> bool:
@@ -112,6 +125,8 @@ class CacheLevel:
         line is filled, evicting the policy's victim if the set is
         full.  Statistics (``refs``/``misses``) update either way.
         """
+        if self._pending is not None:
+            self._settle()
         self.refs += 1
         lines = self._sets[line & self._set_mask]
         if line in lines:
@@ -129,16 +144,72 @@ class CacheLevel:
         lines[line] = None
         return False
 
+    def replay(self, stream: np.ndarray) -> np.ndarray:
+        """Reference every line of ``stream`` in order; the hit mask.
+
+        Equivalent to one :meth:`access` per entry for an LRU level:
+        the level's resident lines enter the classification as a
+        prefix (per set, least recently used first) whose verdicts are
+        dropped, so hits against lines left by earlier accesses or
+        replays count, and the final contents stay behind for whatever
+        follows.  Only ``refs``/``misses`` are updated eagerly; the
+        final contents are settled on first use.
+        """
+        if self.policy != "lru":
+            raise InvalidParameterError(
+                f"replay is only exact for LRU levels; {self.name!r} "
+                f"uses {self.policy!r}"
+            )
+        prefix = self._state()
+        if prefix.shape[0]:
+            stream = np.concatenate([prefix, stream])
+        hits = hit_mask(stream, self.num_sets, self.associativity)[
+            prefix.shape[0]:
+        ]
+        self.refs += int(hits.shape[0])
+        self.misses += int(hits.shape[0] - np.count_nonzero(hits))
+        self._pending = stream
+        return hits
+
+    def _state(self) -> np.ndarray:
+        """Resident lines, per set least recently used first."""
+        if self._pending is not None:
+            return lru_contents(
+                self._pending, self.num_sets, self.associativity
+            )
+        return np.fromiter(
+            (line for lines in self._sets for line in lines),
+            dtype=np.int64,
+        )
+
+    def _settle(self) -> None:
+        """Materialise the last replay's final contents as sets."""
+        state = self._state()
+        self._pending = None
+        sets: list[dict[int, None]] = [
+            dict() for _ in range(self.num_sets)
+        ]
+        mask = self._set_mask
+        for line in state.tolist():
+            sets[line & mask][line] = None
+        self._sets = sets
+
     def contains(self, line: int) -> bool:
         """Whether ``line`` is currently resident (no LRU update)."""
+        if self._pending is not None:
+            self._settle()
         return line in self._sets[line & self._set_mask]
 
     def resident_lines(self) -> set[int]:
         """Snapshot of every line currently held (for tests)."""
-        resident: set[int] = set()
-        for lines in self._sets:
-            resident.update(lines)
-        return resident
+        return set(self.resident_order())
+
+    def resident_order(self) -> list[int]:
+        """Every resident line, set by set, least recently used first
+        within each set — the LRU order stepping would evict in."""
+        if self._pending is not None:
+            self._settle()
+        return [line for lines in self._sets for line in lines]
 
     def reset_statistics(self) -> None:
         """Zero the reference/miss counters, keeping contents."""
@@ -155,6 +226,7 @@ class CacheLevel:
         """
         for lines in self._sets:
             lines.clear()
+        self._pending = None
         if self._rng is not None:
             self._rng = random.Random(self.seed)
         self.reset_statistics()

@@ -7,7 +7,7 @@ the same way PR 3's batched kernel removed it from the ordering side:
 record now, compute later, array-wise.
 
 * :class:`TraceBuffer` is the record side.  ``Memory`` (in replay
-  mode) appends single demand touches to a plain Python list (the
+  mode) appends single demand touches to an int64 ``array`` (the
   hottest path), run-compresses sequential scans and stores bulk
   touch batches *by reference* — index conversion, bounds checking
   and line arithmetic are all deferred to ``freeze()``, which
@@ -55,12 +55,14 @@ iff it is warm and ``d(t) < A``; the Fenwick-tree oracle in
 :mod:`repro.cache.reuse` stays as the scalar cross-check.
 
 Replay is exact for LRU only: FIFO and random levels are not
-stack-distance characterisable, so ``Memory`` silently falls back to
-scalar stepping for those geometries.
+stack-distance characterisable, so ``Memory`` steps those geometries
+one access at a time instead, and counts each such fallback on
+``cache.replay.fallback``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,6 +302,10 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     ).astype(np.int64)
     summary = np.full((num_rows, ways), _EMPTY_SLOT, dtype=np.int32)
     summary.reshape(-1)[row_kept * ways + rank] = data.reshape(-1)[idx_kept]
+    # Peak working memory bounds a replay chunk's footprint, so every
+    # pass frees its temporaries as soon as the next one has its input.
+    del pack, packed_line, packed_col, last, idx_last, row_last
+    del flags, fwd, total, kept, idx_kept, row_kept, rank
 
     # ---- incoming stack per block: masked inclusive prefix scan of
     # summaries within each set (Hillis–Steele; _compose associates).
@@ -327,6 +333,7 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     sentinels = -(np.arange(ways, dtype=np.int32) + 2)
     rows[:, :ways] = np.where(prefix != _EMPTY_SLOT, prefix, sentinels)
     rows[:, ways:] = data
+    del data, comp, states, prefix
 
     # ---- previous occurrence within each row, same pack-sort trick
     # (eight column bits: row_width <= FAST_MAX_WAYS + 128 < 256).
@@ -349,6 +356,7 @@ def _classify_blocks(s_lines, starts, lens, ways: int, data_width: int):
     value = (posf[:, :-1] + np.uint8(1)).reshape(-1)[same_flat]
     prev1 = np.zeros((num_rows, data_width), dtype=np.uint8)  # P+1
     prev1.reshape(-1)[target] = value
+    del rows, packf, linef, posf, same, same_flat, target, value
 
     # ---- in-window inversion counts by level doubling: at each width
     # the right half of every span counts left-half entries with a
@@ -502,9 +510,11 @@ def _blocked_hit_mask(
             order = pk & np.int64((1 << 32) - 1)
             hi = pk >> np.int64(32)
         s_lines = small[order]
+        del small  # see _classify_blocks: free temporaries early
         boundary = np.empty(n, dtype=bool)
         boundary[0] = True
         np.not_equal(hi[1:], hi[:-1], out=boundary[1:])
+        del pk, hi
         starts = np.flatnonzero(boundary)
         # Distance-0 collapse: re-touching a set's stack top is a
         # guaranteed hit and leaves the stack unchanged.  Same line
@@ -524,7 +534,9 @@ def _blocked_hit_mask(
             reduced = s_lines
             lens = np.diff(np.append(starts, n))
             starts_r = starts
+        del s_lines, boundary
         v_reduced = _classify_sets(reduced, starts_r, lens, ways)
+        del reduced
         v_part = np.ones(n, dtype=bool)
         v_part[keep1] = v_reduced
         out = np.empty(n, dtype=bool)
@@ -541,6 +553,47 @@ def _blocked_hit_mask(
     out = np.ones(n, dtype=bool)
     out[keep0] = _classify_sets(core, starts_r, lens, ways)
     return out
+
+
+def lru_contents(lines, num_sets: int, associativity: int) -> np.ndarray:
+    """Final contents of a cold-started LRU level after ``lines``.
+
+    Per set, the last ``associativity`` distinct lines of that set's
+    subtrace — the resident lines stepping would leave behind —
+    returned set by set, least recently used first.  Replaying the
+    result as a prefix therefore rebuilds the level exactly, which is
+    how :meth:`CacheLevel.replay` carries state from one chunk to the
+    next.
+
+    Only a suffix of the trace can matter, so the scan starts with the
+    last ``2 * capacity`` accesses and doubles until every set holds a
+    full stack (or the whole trace has been seen).
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    mask = np.int64(num_sets - 1)
+    window = min(n, 2 * num_sets * associativity)
+    while True:
+        # Recency 0 = most recent: first occurrence in reversed order.
+        distinct, recency = np.unique(
+            lines[n - window:][::-1], return_index=True
+        )
+        sets = distinct & mask
+        if window == n or (
+            np.bincount(sets, minlength=num_sets) >= associativity
+        ).all():
+            break
+        window = min(n, 2 * window)
+    order = np.lexsort((recency, sets))  # set-major, newest first
+    ordered_sets = sets[order]
+    head = np.ones(order.shape[0], dtype=bool)
+    np.not_equal(ordered_sets[1:], ordered_sets[:-1], out=head[1:])
+    group_start = np.maximum.accumulate(
+        np.where(head, np.arange(order.shape[0]), 0)
+    )
+    kept = order[np.arange(order.shape[0]) - group_start < associativity]
+    oldest_first = np.lexsort((-recency[kept], sets[kept]))
+    return distinct[kept[oldest_first]]
 
 
 def hit_mask(lines, num_sets: int, associativity: int) -> np.ndarray:
@@ -587,14 +640,14 @@ class CacheTrace:
     ``lines`` is every line-level access in program order (demand
     touches *and* the prefetched line fills of sequential scans, which
     update cache state and per-level counters exactly like the scalar
-    path).  ``demand_idx`` indexes the accesses whose serving level is
+    path).  ``demand`` marks the accesses whose serving level is
     charged to ``Memory.level_counts``; ``extra_l1`` is the aggregate
     of run-compressed element references that are L1 hits by
     construction (later elements on an already-referenced line).
     """
 
     lines: np.ndarray
-    demand_idx: np.ndarray
+    demand: np.ndarray
     extra_l1: int
     prefetched_refs: int
 
@@ -603,8 +656,13 @@ class CacheTrace:
         return int(self.lines.shape[0])
 
     @property
+    def demand_idx(self) -> np.ndarray:
+        """Positions of the demand accesses."""
+        return np.flatnonzero(self.demand)
+
+    @property
     def num_demand(self) -> int:
-        return int(self.demand_idx.shape[0])
+        return int(np.count_nonzero(self.demand))
 
     @property
     def total_refs(self) -> int:
@@ -620,8 +678,9 @@ class TraceBuffer:
 
     Four channels, interleaved by position at freeze time:
 
-    * ``touches`` — a plain list of single demand line ids
-      (``list.append`` is the hottest record-mode operation);
+    * ``touches`` — an int64 ``array`` of single demand line ids
+      (``append`` is the hottest record-mode operation; unlike a list
+      it keeps no int object per touch alive, and freezes by buffer);
     * runs — ``touch_run`` scans, stored as (first line, line count)
       pairs;
     * bulk batches — ``touch_all`` index arrays, stored **by
@@ -650,12 +709,12 @@ class TraceBuffer:
         "_runs",
         "_many_idx", "_many_meta", "_many_names",
         "_blocks", "_block_meta",
-        "_seq", "_segment_refs",
+        "_seq", "_segment_refs", "_segment_lines",
         "extra_l1", "prefetched_refs",
     )
 
     def __init__(self, line_shift: int = 6) -> None:
-        self.touches: list[int] = []
+        self.touches: array[int] = array("q")
         self._line_shift = line_shift
         self._runs: list[tuple[int, int, int, int]] = []
         self._many_idx: list[np.ndarray] = []
@@ -665,6 +724,7 @@ class TraceBuffer:
         self._block_meta: list[tuple[int, int]] = []
         self._seq = 0
         self._segment_refs = 0
+        self._segment_lines = 0
         self.extra_l1 = 0
         self.prefetched_refs = 0
 
@@ -673,6 +733,16 @@ class TraceBuffer:
         """Demand element references recorded so far."""
         return len(self.touches) + self._segment_refs
 
+    @property
+    def num_accesses(self) -> int:
+        """Line-level accesses :meth:`freeze` will produce."""
+        return len(self.touches) + self._segment_lines
+
+    @property
+    def empty(self) -> bool:
+        """Whether nothing has been recorded."""
+        return not self.touches and self._seq == 0
+
     def record_run(self, line0: int, nlines: int, count: int) -> None:
         """A sequential scan: ``count`` elements spanning ``nlines``
         consecutive lines from ``line0`` (first line demand, the rest
@@ -680,6 +750,7 @@ class TraceBuffer:
         self._runs.append((self._seq, len(self.touches), line0, nlines))
         self._seq += 1
         self._segment_refs += count
+        self._segment_lines += nlines
         self.extra_l1 += count - 1
         self.prefetched_refs += nlines - 1
 
@@ -700,6 +771,7 @@ class TraceBuffer:
         self._many_names.append(name)
         self._seq += 1
         self._segment_refs += int(indices.shape[0])
+        self._segment_lines += int(indices.shape[0])
 
     def record_runs(
         self,
@@ -724,8 +796,10 @@ class TraceBuffer:
         self._seq += num
         total = int(counts.sum())
         self._segment_refs += total
+        total_lines = int(nlines.sum())
+        self._segment_lines += total_lines
         self.extra_l1 += total - num
-        self.prefetched_refs += int(nlines.sum()) - num
+        self.prefetched_refs += total_lines - num
 
     def record_block(
         self,
@@ -746,6 +820,7 @@ class TraceBuffer:
         self._blocks.append((lines, demand))
         self._seq += 1
         self._segment_refs += int(demand.sum()) + extra_l1
+        self._segment_lines += int(lines.shape[0])
         self.extra_l1 += extra_l1
         self.prefetched_refs += prefetched
 
@@ -861,7 +936,7 @@ class TraceBuffer:
             demand[at] = np.concatenate([d for _, d in self._blocks])
         return CacheTrace(
             lines=lines,
-            demand_idx=np.flatnonzero(demand),
+            demand=demand,
             extra_l1=self.extra_l1,
             prefetched_refs=self.prefetched_refs,
         )

@@ -84,7 +84,7 @@ class OrderingEvaluation:
 def probe_arrangement(
     graph: CSRGraph,
     perm: np.ndarray,
-    cache_backend: str = "step",
+    cache_backend: str = "replay",
     algo_backend: str = "runtime",
 ):
     """Run the NQ cache probe for one arrangement.
@@ -104,7 +104,7 @@ def evaluate_ordering(
     perm: np.ndarray,
     name: str = "custom",
     window: int = DEFAULT_WINDOW,
-    cache_backend: str = "step",
+    cache_backend: str = "replay",
     algo_backend: str = "runtime",
     ordering_seconds: float = float("nan"),
 ) -> OrderingEvaluation:
@@ -133,7 +133,7 @@ def evaluate_all(
     ordering_names=None,
     seed: int = 0,
     window: int = DEFAULT_WINDOW,
-    cache_backend: str = "step",
+    cache_backend: str = "replay",
     algo_backend: str = "runtime",
     ordering_params: dict | None = None,
 ) -> list[OrderingEvaluation]:

@@ -67,7 +67,8 @@ results *and* per-level cache counters before reporting.  The headline
 timing covers the traced run through trace materialisation (algorithm
 body + touch recording + buffer freeze); the downstream LRU simulation
 is the same work for both emitters (it is ``cache_replay``'s subject)
-and is reported separately.  Schema (version 1)::
+and is reported separately (a full run minus an emission-only run).
+Schema (version 1)::
 
     {
       "schema_version": 1,
@@ -101,6 +102,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.cache.hierarchy import CacheHierarchy
 from repro.errors import InvalidParameterError, ReproError
 from repro.graph.generators import social_graph
 from repro.ioutil import atomic_write_text
@@ -367,15 +369,32 @@ def _hierarchy_factory(name: str):
         ) from None
 
 
-def _simulate_counts(hierarchy, serving, trace) -> list[int]:
-    """Serving levels -> ``Memory.level_counts``-shaped counters."""
-    counts = np.bincount(
-        serving[trace.demand_idx],
-        minlength=hierarchy.num_levels + 1,
-    )
-    counts = [int(c) for c in counts]
-    counts[1] += trace.extra_l1
-    return counts
+class _ChunkCapture(CacheHierarchy):
+    """A hierarchy that sees every chunk a replaying ``Memory`` hands
+    it: kept for later (``keep``) and/or simulated (``simulate``).
+
+    Without simulation every access reads as served by memory, which
+    leaves a timed run with trace emission and chunk materialisation
+    only.
+    """
+
+    def __init__(
+        self,
+        hierarchy: CacheHierarchy,
+        keep: bool = True,
+        simulate: bool = True,
+    ) -> None:
+        super().__init__(hierarchy.levels, hierarchy.name)
+        self.keep = keep
+        self.simulate = simulate
+        self.chunks: list[np.ndarray] = []
+
+    def replay(self, lines) -> np.ndarray:
+        if self.keep:
+            self.chunks.append(np.array(lines, dtype=np.int64))
+        if self.simulate:
+            return super().replay(lines)
+        return np.zeros(len(lines), dtype=np.int16)
 
 
 def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
@@ -399,30 +418,28 @@ def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
         iterations=config.iterations, hierarchy=config.hierarchy,
         quick=config.quick,
     ):
-        # One recorded trace feeds both simulation paths.
-        memory = Memory(factory(), cache_backend="replay")
+        # One captured trace feeds both simulation paths; the
+        # capturing run itself replays it chunk by chunk.
+        capture = _ChunkCapture(factory())
+        memory = Memory(capture, cache_backend="replay")
         pagerank_traced(graph, memory, iterations=config.iterations)
-        trace = memory.recorded_trace()
+        level_counts = list(memory.level_counts)
+        lines = np.concatenate(capture.chunks)
+        num_accesses = int(lines.shape[0])
 
         def run_step():
             hierarchy = factory()
-            serving = hierarchy.step_trace(trace.lines)
-            return hierarchy, serving, _simulate_counts(
-                hierarchy, serving, trace
-            )
+            return hierarchy, hierarchy.step_trace(lines)
 
         def run_replay():
             hierarchy = factory()
-            serving = hierarchy.replay(trace.lines)
-            return hierarchy, serving, _simulate_counts(
-                hierarchy, serving, trace
-            )
+            return hierarchy, hierarchy.replay(lines)
 
-        (h_step, serving_step, counts_step), step_seconds = _timed(
+        (h_step, serving_step), step_seconds = _timed(
             run_step, config.repeats
         )
-        (h_replay, serving_replay, counts_replay), replay_seconds = (
-            _timed(run_replay, config.repeats)
+        (h_replay, serving_replay), replay_seconds = _timed(
+            run_replay, config.repeats
         )
 
         level_counters = lambda h: [  # noqa: E731
@@ -430,8 +447,8 @@ def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
         ]
         identical = (
             bool(np.array_equal(serving_step, serving_replay))
-            and counts_step == counts_replay
             and level_counters(h_step) == level_counters(h_replay)
+            and level_counters(capture) == level_counters(h_replay)
         )
         if not identical:
             raise BenchRegressionError(
@@ -444,14 +461,14 @@ def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
         "step": {
             "seconds": step_seconds,
             "accesses_per_second": (
-                trace.num_accesses / step_seconds
+                num_accesses / step_seconds
                 if step_seconds else None
             ),
         },
         "replay": {
             "seconds": replay_seconds,
             "accesses_per_second": (
-                trace.num_accesses / replay_seconds
+                num_accesses / replay_seconds
                 if replay_seconds else None
             ),
         },
@@ -466,15 +483,16 @@ def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
             "dataset": config.dataset,
             "iterations": config.iterations,
             "hierarchy": config.hierarchy,
-            "accesses": trace.num_accesses,
-            "demand_accesses": trace.num_demand,
-            "total_refs": trace.total_refs,
+            "accesses": num_accesses,
+            # Every access that is not a prefetched fill is a demand.
+            "demand_accesses": num_accesses - memory.prefetched_refs,
+            "total_refs": memory.total_refs,
         },
         "backends": backends,
         "speedup_replay_vs_step": (
             step_seconds / replay_seconds if replay_seconds else None
         ),
-        "level_counts": counts_step,
+        "level_counts": level_counts,
         "identical": identical,
         "end_to_end": end_to_end,
     }
@@ -581,8 +599,11 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
     vectorises.  The downstream LRU simulation of the materialised
     trace is byte-for-byte the same work for both emitters (it is the
     cache-replay benchmark's subject, ``BENCH_cache.json``), so it is
-    timed separately and reported as ``simulate_seconds`` /
-    ``with_simulation`` rather than folded into the emitter ratio.
+    reported separately as ``simulate_seconds`` / ``with_simulation``
+    rather than folded into the emitter ratio.  Replay streams in
+    chunks inside the traced run, so the simulation is measured as
+    the difference between a full run and an emission-only run whose
+    hierarchy skips the simulation.
     """
     from repro.algorithms import base as algorithms
     from repro.cache import Memory
@@ -609,24 +630,30 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
             def run(backend: str):
                 traced = algorithms.traced_fn(algorithm, backend)
 
-                def body():
+                def emit():
+                    # Replay streams inside the traced run, so the
+                    # emission-only timing drives a hierarchy that
+                    # skips the simulation but still materialises
+                    # every chunk (flushed by the final read).
+                    memory = Memory(
+                        _ChunkCapture(factory(), False, False),
+                        cache_backend="replay",
+                    )
+                    traced(graph, memory, **params)
+                    return memory.level_counts
+
+                def simulate():
                     memory = Memory(factory(), cache_backend="replay")
                     result = traced(graph, memory, **params)
-                    # Materialise the trace inside the timed region:
-                    # the runtime defers block expansion to the
-                    # freeze, so stopping the clock earlier would
-                    # credit it with work it has not done yet.
-                    memory.recorded_trace()
-                    return result, memory
+                    return result, memory, list(memory.level_counts)
 
-                (result, memory), seconds = _timed(
-                    body, config.repeats
+                _, seconds = _timed(emit, config.repeats)
+                # The LRU simulation is the difference to a full run
+                # (identical input either way).
+                (result, memory, counts), full_seconds = _timed(
+                    simulate, config.repeats
                 )
-                # The LRU simulation of the frozen trace, timed
-                # separately (identical input either way).
-                sim_start = time.perf_counter()
-                counts = list(memory.level_counts)
-                sim_seconds = time.perf_counter() - sim_start
+                sim_seconds = max(0.0, full_seconds - seconds)
                 return (
                     result, counts, memory.total_refs,
                     memory.prefetched_refs, seconds, sim_seconds,

@@ -313,7 +313,7 @@ def run_cell(
     cache: OrderingCache | None = None,
     dataset_name: str | None = None,
     ordering_params: dict | None = None,
-    cache_backend: str = "step",
+    cache_backend: str = "replay",
     algo_backend: str = "runtime",
     cancel_check: Callable[[], None] | None = None,
 ) -> RunResult:
@@ -327,9 +327,10 @@ def run_cell(
     (signature-filtered, see
     :func:`repro.ordering.base.compute_ordering`).
     ``cache_backend`` selects the cache simulation strategy
-    (:data:`repro.cache.layout.CACHE_BACKENDS`): ``"step"`` scalar
-    stepping, ``"replay"`` recorded-trace vectorised replay with
-    byte-identical counters for all-LRU hierarchies.
+    (:data:`repro.cache.layout.CACHE_BACKENDS`): ``"replay"`` (the
+    default) streams the recorded trace through vectorised replay with
+    byte-identical counters for all-LRU hierarchies, ``"step"`` steps
+    the hierarchy one access at a time.
     ``algo_backend`` selects the trace emitter
     (:data:`repro.algorithms.base.ALGO_BACKENDS`): ``"runtime"`` the
     vectorised frontier runtime, ``"scalar"`` the scalar-loop oracle

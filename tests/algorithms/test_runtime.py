@@ -232,7 +232,7 @@ class TestTraceEmitter:
 # ---------------------------------------------------------------------
 # Backend dispatch
 # ---------------------------------------------------------------------
-RUNTIME_PORTED = ("nq", "bfs", "sp", "pr", "lp", "diam")
+RUNTIME_PORTED = ("nq", "bfs", "sp", "pr", "lp", "diam", "tc")
 
 
 class TestBackendDispatch:

@@ -8,6 +8,8 @@ from repro.errors import InvalidParameterError
 
 
 def small_memory():
+    """The step-backend memory (replay is the default; these tests
+    check the scalar path's eager behaviour)."""
     return Memory(
         CacheHierarchy(
             [
@@ -15,7 +17,8 @@ def small_memory():
                 CacheLevel(4 * 64, 64, 4, "L2"),
                 CacheLevel(8 * 64, 64, 8, "L3"),
             ]
-        )
+        ),
+        cache_backend="step",
     )
 
 

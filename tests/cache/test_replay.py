@@ -6,18 +6,29 @@ scalar step path — same hit/miss verdicts, same counters, same costs —
 for every all-LRU geometry, and degrade gracefully everywhere else.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import base as algorithms
-from repro.cache import CacheHierarchy, CacheLevel, Memory
+from repro.cache import (
+    CacheHierarchy,
+    CacheLevel,
+    Memory,
+    chunk_accesses,
+    paper_hierarchy,
+    replay_fallbacks,
+)
 from repro.cache.replay import (
     COLD,
+    FAST_LINE_LIMIT,
     TraceBuffer,
     count_prior_greater,
     hit_mask,
+    lru_contents,
     lru_hit_mask,
     stack_distances,
 )
@@ -232,6 +243,18 @@ class TestTraceBuffer:
         assert trace.num_demand == 0
 
 
+class CapturingHierarchy(CacheHierarchy):
+    """Keeps a copy of every chunk ``Memory`` replays through it."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.chunks = []
+
+    def replay(self, lines):
+        self.chunks.append(np.array(lines, dtype=np.int64))
+        return super().replay(lines)
+
+
 def lru_memories():
     """A (step, replay) pair over identical small LRU hierarchies."""
     return (
@@ -310,21 +333,20 @@ class TestMemoryBackends:
         array.touch(8)
         assert wrapper.trace().shape[0] == 2
 
-    def test_recorded_trace_requires_active_replay(self):
-        memory = Memory(make_hierarchy([(2, 2)]), cache_backend="step")
-        with pytest.raises(InvalidParameterError, match="replay"):
-            memory.recorded_trace()
-
-    def test_recorded_trace_freezes_current_touches(self):
-        memory = Memory(
-            make_hierarchy([(2, 2)]), cache_backend="replay"
-        )
+    def test_capturing_hierarchy_sees_the_whole_trace(self):
+        hierarchy = CapturingHierarchy(make_hierarchy([(2, 2)]).levels)
+        memory = Memory(hierarchy, cache_backend="replay")
         array = memory.array("a", 64, 8)
         array.touch(0)
         array.touch_run(8, 16)
-        trace = memory.recorded_trace()
-        assert trace.num_accesses == trace.lines.shape[0] > 0
-        assert trace.total_refs == memory.total_refs
+        counts = memory.level_counts
+        lines = np.concatenate(hierarchy.chunks)
+        assert lines.shape[0] == 3  # line 0, then lines 1..2 of the run
+        assert lines.shape[0] - memory.prefetched_refs == 2  # demand
+        assert sum(counts) == memory.total_refs
+        # Reading again replays nothing new.
+        assert memory.level_counts == counts
+        assert len(hierarchy.chunks) == 1
 
     def test_touch_all_rejects_bad_indices_lazily(self):
         memory = Memory(
@@ -381,3 +403,194 @@ class TestAllAlgorithmsEquivalence:
                 memory.prefetched_refs,
             )
         assert results["replay"] == results["step"]
+
+
+# ----------------------------------------------------------------------
+# Stateful replay: chunks, scalar accesses and flushes interleave freely
+# ----------------------------------------------------------------------
+def level_view(hierarchy):
+    """Everything stepping defines about a hierarchy's levels."""
+    return [
+        (level.refs, level.misses, level.resident_order())
+        for level in hierarchy.levels
+    ]
+
+
+#: (num_sets, ways) per level; the last two exercise the reference
+#: classifier through associativity beyond FAST_MAX_WAYS.
+geometry_strategy = st.lists(
+    st.sampled_from(
+        [(1, 1), (1, 4), (2, 2), (4, 2), (2, 8), (8, 4), (1, 96), (2, 80)]
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+operation_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), lines_strategy.map(lambda x: x[:5])),
+        st.tuples(st.just("replay"), lines_strategy),
+        st.tuples(st.just("flush"), st.just([])),
+    ),
+    max_size=8,
+)
+
+
+class TestStatefulReplay:
+    """``replay`` chunks continue exactly where stepping would."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometry=geometry_strategy,
+        operations=operation_strategy,
+        offset=st.sampled_from([0, FAST_LINE_LIMIT]),
+    )
+    def test_interleavings_match_stepping(
+        self, geometry, operations, offset
+    ):
+        stepped = make_hierarchy(geometry)
+        mixed = make_hierarchy(geometry)
+        for kind, lines in operations:
+            trace = np.asarray(lines, dtype=np.int64) + offset
+            if kind == "flush":
+                stepped.flush()
+                mixed.flush()
+                continue
+            expected = stepped.step_trace(trace)
+            if kind == "replay":
+                got = mixed.replay(trace)
+            else:
+                got = np.array([mixed.access(line) for line in trace])
+            assert np.array_equal(got, expected)
+            assert level_view(mixed) == level_view(stepped)
+
+    def test_long_chunks_carry_state(self):
+        # Traces long enough for the blocked classifier's multi-block
+        # rows, split at arbitrary points.
+        rng = np.random.default_rng(11)
+        trace = rng.zipf(1.3, size=6000) % 700
+        for geometry in ([(8, 4), (16, 8)], [(64, 16)], [(1, 128)]):
+            stepped = make_hierarchy(geometry)
+            chunked = make_hierarchy(geometry)
+            expected = stepped.step_trace(trace)
+            cuts = [0, 1, 17, 2500, 2501, 4000, 6000]
+            got = np.concatenate([
+                chunked.replay(trace[lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])
+            ])
+            assert np.array_equal(got, expected)
+            assert level_view(chunked) == level_view(stepped)
+
+    def test_lru_contents_is_the_stepped_residency(self):
+        rng = np.random.default_rng(12)
+        for num_sets, ways in ((1, 4), (4, 2), (16, 8), (2, 96)):
+            trace = rng.integers(0, 300, size=2000)
+            level = CacheLevel(num_sets * ways * 64, 64, ways, "L")
+            for line in trace.tolist():
+                level.access(line)
+            got = lru_contents(trace, num_sets, ways).tolist()
+            assert sorted(got) == sorted(level.resident_order())
+            # Per set, least recently used first.
+            for s in range(num_sets):
+                assert [x for x in got if x % num_sets == s] == [
+                    x for x in level.resident_order()
+                    if x % num_sets == s
+                ]
+
+
+# ----------------------------------------------------------------------
+# Streaming Memory: bounded buffers, exact counters
+# ----------------------------------------------------------------------
+def paired_memories():
+    """A (step, replay) pair over identical three-level hierarchies."""
+    geometry = [(2, 2), (4, 4), (8, 8)]
+    return (
+        Memory(make_hierarchy(geometry), cache_backend="step"),
+        Memory(make_hierarchy(geometry), cache_backend="replay"),
+    )
+
+
+def memory_view(memory):
+    return (
+        memory.level_counts,
+        memory.stats(),
+        memory.cost(),
+        memory.total_refs,
+        memory.prefetched_refs,
+    )
+
+
+class TestStreamingMemory:
+    def test_chunk_bound_follows_geometry(self):
+        assert chunk_accesses(make_hierarchy([(2, 2)])) == 1 << 16
+        assert chunk_accesses(paper_hierarchy()) == 8 * (
+            512 + 4096 + 262144
+        )
+
+    def test_trace_spanning_many_chunks(self):
+        step, replay = paired_memories()
+        chunk = replay._chunk
+        rng = np.random.default_rng(13)
+        big = rng.integers(0, 400, size=chunk + chunk // 2)
+        for memory in (step, replay):
+            a = memory.array("a", 400, 8)
+            b = memory.array("b", 4096, 4)
+            views = []
+            for round_ in range(3):
+                local = np.random.default_rng(round_)
+                for i in local.integers(0, 400, size=chunk // 3).tolist():
+                    a.touch(i)
+                b.touch_runs(
+                    local.integers(0, 4000, size=300),
+                    local.integers(1, 90, size=300),
+                )
+                a.touch_many(local.integers(0, 400, size=chunk // 2))
+                views.append(memory_view(memory))  # mid-run read
+            # One block larger than the chunk bound.
+            lines = a.element_lines(big)
+            memory.touch_block(lines, np.ones(lines.shape[0], bool), 5, 0)
+            views.append(memory_view(memory))
+            memory.views = views
+        assert replay.views == step.views
+        assert replay.total_refs > 4 * chunk
+
+    def test_reset_starts_cold(self):
+        step, replay = paired_memories()
+        chunk = replay._chunk
+        for memory in (step, replay):
+            a = memory.array("a", 256, 8)
+            a.touch_many(np.arange(chunk + 100) % 256)
+            a.touch(3)  # buffered, not yet replayed
+            memory.reset()
+            assert memory.total_refs == 0
+            assert memory.level_counts == [0, 0, 0, 0]
+            a.touch_many(np.array([0, 8, 0, 255]))
+        assert memory_view(replay) == memory_view(step)
+        for level in replay.hierarchy.levels:
+            assert level.resident_lines() <= {0, 1, 31}
+
+    def test_memory_stays_bounded(self):
+        memory = Memory(make_hierarchy([(2, 2), (4, 4), (8, 8)]))
+        a = memory.array("a", 1 << 20, 4)
+        rng = np.random.default_rng(14)
+        tracemalloc.start()
+        try:
+            for _ in range(1000):  # 2M touches, fresh arrays each time
+                a.touch_many(rng.integers(0, 1 << 20, size=2000))
+            counts = memory.level_counts
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts) == memory.total_refs == 2_000_000
+        # A chunk's buffer and classifier temporaries take ~8 MB;
+        # retaining the trace would need 16 MB for the indices alone,
+        # and replaying it whole several times that.
+        assert peak < 12 * 2**20
+
+    def test_fallback_is_counted(self):
+        before = replay_fallbacks()
+        Memory(make_hierarchy([(2, 2)], policy="fifo"))
+        Memory(RecordingHierarchy(make_hierarchy([(2, 2)])))
+        Memory(make_hierarchy([(2, 2)]), cache_backend="step")
+        Memory(make_hierarchy([(2, 2)]))
+        assert replay_fallbacks() == before + 2
