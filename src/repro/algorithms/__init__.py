@@ -1,12 +1,10 @@
 """The paper's nine benchmark graph algorithms (pure + traced)."""
 
 from repro.algorithms.base import (
-    ALGO_BACKENDS,
     ALGORITHM_NAMES,
     REGISTRY,
     AlgorithmSpec,
     spec,
-    traced_fn,
 )
 from repro.algorithms.bfs import (
     UNVISITED,
@@ -83,12 +81,10 @@ from repro.algorithms.wkcore import (
 )
 
 __all__ = [
-    "ALGO_BACKENDS",
     "ALGORITHM_NAMES",
     "REGISTRY",
     "AlgorithmSpec",
     "spec",
-    "traced_fn",
     "neighbor_query",
     "neighbor_query_traced",
     "breadth_first_search",

@@ -72,7 +72,7 @@ from repro.algorithms.wcc import (
     weakly_connected_components,
     weakly_connected_components_traced,
 )
-from repro.errors import InvalidParameterError, UnknownAlgorithmError
+from repro.errors import UnknownAlgorithmError
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,11 @@ class AlgorithmSpec:
     scale_params: tuple[str, ...] = field(default=())
     #: Whether the algorithm belongs to the paper's benchmark nine.
     headline: bool = True
-    #: Scalar-loop trace emitter kept as the runtime port's oracle.
-    #: ``None`` when ``traced`` *is* the scalar implementation (the
-    #: algorithm has no vectorised frontier port) or when the traced
-    #: variant has no touch-sequence twin (DSSSP, WKcore).
+    #: Scalar-loop trace emitter kept as the runtime port's oracle;
+    #: only the tests and ``bench --suite algos`` call it.  ``None``
+    #: when ``traced`` *is* the scalar implementation (the algorithm
+    #: has no vectorised frontier port) or when the traced variant has
+    #: no touch-sequence twin (DSSSP, WKcore).
     traced_scalar: Callable[..., Any] | None = None
 
 
@@ -170,28 +171,6 @@ REGISTRY: dict[str, AlgorithmSpec] = {
 ALGORITHM_NAMES: tuple[str, ...] = tuple(
     name for name, algorithm in REGISTRY.items() if algorithm.headline
 )
-
-#: Trace-emitter selection: ``"runtime"`` is the vectorised frontier
-#: runtime (the default), ``"scalar"`` forces the scalar-loop oracle
-#: where one exists (algorithms without a port run their only traced
-#: implementation either way).
-ALGO_BACKENDS: tuple[str, ...] = ("runtime", "scalar")
-
-
-def traced_fn(
-    algorithm: AlgorithmSpec, algo_backend: str = "runtime"
-) -> Callable[..., Any]:
-    """The trace emitter for ``algorithm`` under ``algo_backend``."""
-    if algo_backend not in ALGO_BACKENDS:
-        known = ", ".join(ALGO_BACKENDS)
-        raise InvalidParameterError(
-            f"algo_backend must be one of {known}, "
-            f"got {algo_backend!r}"
-        )
-    if algo_backend == "scalar" and algorithm.traced_scalar is not None:
-        return algorithm.traced_scalar
-    return algorithm.traced
-
 
 def spec(name: str) -> AlgorithmSpec:
     """Look up an algorithm by registry name (case-insensitive)."""

@@ -37,7 +37,7 @@ def neighbor_query_traced(graph: CSRGraph, memory: Memory) -> np.ndarray:
     Runtime-backed: the full node scan is one assembled access block —
     per node an ``offsets`` touch, the adjacency ``touch_run`` span and
     the per-neighbour ``degree`` gather, then the ``q`` write — flushed
-    to the backend in a single call.  Touch-sequence identical to
+    to the memory in a single call.  Touch-sequence identical to
     :func:`neighbor_query_traced_scalar`.
     """
     n = graph.num_nodes
@@ -76,14 +76,14 @@ def neighbor_query_traced_scalar(
     adjacency = graph.adjacency
     degrees = graph.out_degrees()
     q = np.zeros(n, dtype=np.int64)
-    touch_degree_all = traced_degree.touch_all
+    touch_degree_many = traced_degree.touch_many
     for u in range(n):
         traced.offsets.touch(u)  # repro: noqa[REP007] — scalar oracle
         start = int(offsets[u])
         end = int(offsets[u + 1])
         traced.adjacency.touch_run(start, end - start)
         neighbors = adjacency[start:end]
-        touch_degree_all(neighbors)
+        touch_degree_many(neighbors)
         traced_q.touch(u)  # repro: noqa[REP007] — scalar oracle
         q[u] = degrees[neighbors].sum()
     return q

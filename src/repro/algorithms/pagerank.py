@@ -143,7 +143,7 @@ def pagerank_traced_scalar(
     rank = np.full(n, 1.0 / n, dtype=np.float64)
     next_rank = np.zeros(n, dtype=np.float64)
     teleport = (1.0 - damping) / n
-    touch_next_all = traced_next.touch_all
+    touch_next_many = traced_next.touch_many
     for _ in range(iterations):
         next_rank[:] = 0.0
         dangling_mass = 0.0
@@ -159,7 +159,7 @@ def pagerank_traced_scalar(
             start = int(offsets[u])
             traced.adjacency.touch_run(start, degree)
             neighbors = adjacency[start:start + degree]
-            touch_next_all(neighbors)  # the random per-edge writes
+            touch_next_many(neighbors)  # the random per-edge writes
             # np.add.at applies element-wise in index order — the
             # float accumulation is bitwise the per-edge loop's, and
             # next_rank is this iteration's local accumulator, so the

@@ -8,7 +8,7 @@ algorithm advances a whole *frontier* (or priority bucket) per step in
 numpy, assembles the exact access vector the scalar loop would have
 emitted — node-property gathers, ``offsets`` touches, adjacency
 ``touch_run`` spans in CSR order, interleaved per node — and appends
-it to the simulation backend in **one** call per step
+it to the memory's trace buffer in **one** call per step
 (:meth:`repro.cache.layout.Memory.touch_block`).
 
 Counter-identity is the contract, not approximate equivalence: LRU
@@ -346,10 +346,9 @@ class BucketQueue:
 class TraceEmitter:
     """Flush point of assembled access blocks into one ``Memory``.
 
-    In replay mode a flush is one by-reference append to the trace
-    buffer; in step mode the block is stepped scalar — exactly the
-    accesses the scalar emitter would make — so the runtime stays
-    counter-identical on both backends.
+    A flush is one by-reference append to the trace buffer of exactly
+    the accesses the scalar emitter would make, so the runtime stays
+    counter-identical to its oracle.
     """
 
     __slots__ = ("_memory",)

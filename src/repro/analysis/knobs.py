@@ -6,8 +6,8 @@ would alias across configurations), the sweep engine (or profiles
 would silently ignore it), the CLI (or users could not set it), the
 serve protocol (or the daemon would diverge from batch runs), and
 the archive metadata (or saved results would be unreproducible).
-PRs 3/4/8/9 each plumbed one knob through all of them by hand — and
-PR 8's ``algo_backend`` missed several.
+Knobs plumbed through all of them by hand have missed surfaces
+before.
 
 :class:`Knob` entries below make the contract checkable: REP009
 (:mod:`repro.analysis.project_rules`) verifies that every dataclass
@@ -30,8 +30,8 @@ class KnobSurface:
     ``token`` must appear in the token set of ``scope`` (a qualified
     function/class name inside ``module``; ``''`` means anywhere in
     the module).  Tokens are identifiers, attribute/keyword names, or
-    string literals — so ``"--cache-backend"`` checks the CLI flag
-    and ``"cache_backend"`` checks a keyword argument.
+    string literals — so ``"--ordering-backend"`` checks the CLI flag
+    and ``"ordering_params"`` checks a keyword argument.
     """
 
     name: str
@@ -147,90 +147,6 @@ KNOBS: tuple[Knob, ...] = (
             ),
         ),
     ),
-    Knob(
-        name="cache_backend",
-        declared_in=_PROFILE,
-        surfaces=(
-            _surface(
-                "runner dispatch",
-                "repro.perf.runner",
-                "run_cell",
-                "cache_backend",
-            ),
-            _surface(
-                "sweep-engine cell",
-                "repro.perf.engine",
-                "_execute_cell_body",
-                "cache_backend",
-            ),
-            _surface(
-                "representative run",
-                "repro.perf.experiments",
-                "_representative_run",
-                "cache_backend",
-            ),
-            _surface(
-                "CLI flag", "repro.cli", "", "--cache-backend"
-            ),
-            _surface(
-                "serve protocol",
-                "repro.serve.protocol",
-                "",
-                "cache_backend",
-            ),
-            _surface(
-                "archive metadata",
-                "repro.cli",
-                "_cmd_sweep_run",
-                "cache_backend",
-            ),
-        ),
-    ),
-    Knob(
-        name="algo_backend",
-        declared_in=_PROFILE,
-        surfaces=(
-            _surface(
-                "runner dispatch",
-                "repro.perf.runner",
-                "run_cell",
-                "algo_backend",
-            ),
-            _surface(
-                "sweep-engine cell",
-                "repro.perf.engine",
-                "_execute_cell_body",
-                "algo_backend",
-            ),
-            _surface(
-                "representative run",
-                "repro.perf.experiments",
-                "_representative_run",
-                "algo_backend",
-            ),
-            _surface(
-                "CLI flag", "repro.cli", "", "--algo-backend"
-            ),
-            _surface(
-                "serve protocol",
-                "repro.serve.protocol",
-                "",
-                "algo_backend",
-            ),
-            _surface(
-                "serve dispatch",
-                "repro.serve.server",
-                "OrderingService.handle_run",
-                "algo_backend",
-            ),
-            _surface(
-                "archive metadata",
-                "repro.cli",
-                "_cmd_sweep_run",
-                "algo_backend",
-            ),
-        ),
-    ),
     # ------------------------------------------------------------------
     # OrderRequest — the serve-daemon ordering request.
     # ------------------------------------------------------------------
@@ -267,30 +183,6 @@ KNOBS: tuple[Knob, ...] = (
                 "repro.serve.server",
                 "OrderingService.handle_run",
                 "ordering_params",
-            ),
-        ),
-    ),
-    Knob(
-        name="cache_backend",
-        declared_in=_RUN_REQUEST,
-        surfaces=(
-            _surface(
-                "serve dispatch",
-                "repro.serve.server",
-                "OrderingService.handle_run",
-                "cache_backend",
-            ),
-        ),
-    ),
-    Knob(
-        name="algo_backend",
-        declared_in=_RUN_REQUEST,
-        surfaces=(
-            _surface(
-                "serve dispatch",
-                "repro.serve.server",
-                "OrderingService.handle_run",
-                "algo_backend",
             ),
         ),
     ),

@@ -177,7 +177,7 @@ class KnobPlumbingRule(ProjectRule):
         "Each knob must travel through runner memo key, sweep "
         "engine, CLI, serve protocol, and archive metadata in "
         "lockstep; a missed surface silently aliases results "
-        "across configurations (PR 8's algo_backend missed three)."
+        "across configurations."
     )
 
     def __init__(
@@ -310,7 +310,7 @@ class OraclePurityRule(ProjectRule):
     version = 1
     rationale = (
         "The scalar oracles are the ground truth the vectorised "
-        "runtime is checked against (counter-identical backends); "
+        "runtime is checked against (counter-identical emitters); "
         "hidden RNG, I/O, or telemetry mutation makes that ground "
         "truth flaky or order-dependent."
     )

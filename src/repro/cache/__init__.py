@@ -8,7 +8,6 @@ from repro.cache.hierarchy import (
     scaled_hierarchy,
 )
 from repro.cache.layout import (
-    CACHE_BACKENDS,
     Memory,
     TracedArray,
     chunk_accesses,
@@ -42,7 +41,6 @@ __all__ = [
     "scaled_hierarchy",
     "Memory",
     "TracedArray",
-    "CACHE_BACKENDS",
     "chunk_accesses",
     "replay_fallbacks",
     "CacheTrace",

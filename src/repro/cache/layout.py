@@ -12,22 +12,18 @@ This is the heart of the substitution documented in DESIGN.md: node
 ids with close values land on the same cache line of the same array,
 exactly the effect a graph ordering manipulates.
 
-Two interchangeable simulation backends (see docs/performance.md):
-
-* ``"replay"`` (the default) — touches are recorded into a trace
-  buffer (:class:`~repro.cache.replay.TraceBuffer`) that is replayed
-  vectorised through :meth:`CacheHierarchy.replay` in bounded chunks
-  as it fills, and once more for the remainder when a result is read.
-  Replay carries the cache contents from chunk to chunk, so memory
-  stays bounded however long the trace grows and the counters are
-  byte-identical to stepping.  Hierarchies replay cannot model exactly
-  (non-LRU levels, or wrappers such as
-  :class:`~repro.cache.reuse.RecordingHierarchy`) step instead; each
-  such fallback counts on ``cache.replay.fallback``
-  (:func:`replay_fallbacks`).
-* ``"step"`` — every touch steps the hierarchy inline, one scalar
-  :meth:`CacheHierarchy.access` at a time.  The reference oracle;
-  works for every replacement policy and for wrapper hierarchies.
+Touches are recorded into a trace buffer
+(:class:`~repro.cache.replay.TraceBuffer`) that is handed to the
+hierarchy in bounded chunks as it fills, and once more for the
+remainder when a result is read (see docs/performance.md).  When every
+level is LRU (:attr:`CacheHierarchy.supports_replay`) a chunk is
+classified vectorised by :meth:`CacheHierarchy.replay`, which carries
+the cache contents from chunk to chunk, so memory stays bounded however
+long the trace grows and the counters are identical to stepping.  Any
+other hierarchy resolves each chunk with
+:meth:`CacheHierarchy.step_trace`, one scalar access at a time; each
+such memory counts once on ``cache.replay.fallback``
+(:func:`replay_fallbacks`).
 """
 
 from __future__ import annotations
@@ -43,10 +39,7 @@ from repro.cache.replay import TraceBuffer
 from repro.cache.stats import CacheStats
 from repro.errors import InvalidParameterError
 
-#: Cache simulation backends accepted by :class:`Memory`.
-CACHE_BACKENDS = ("step", "replay")
-
-#: Fewest accesses a replaying :class:`Memory` buffers before it
+#: Fewest accesses a :class:`Memory` buffers before it
 #: replays them: below this, numpy's per-call overhead dominates.
 MIN_CHUNK_ACCESSES = 1 << 16
 
@@ -57,7 +50,7 @@ CHUNK_LINES_FACTOR = 8
 
 
 def chunk_accesses(hierarchy: CacheHierarchy) -> int:
-    """Accesses a replaying :class:`Memory` buffers per chunk."""
+    """Accesses a :class:`Memory` buffers per chunk."""
     lines = sum(
         level.num_sets * level.associativity for level in hierarchy.levels
     )
@@ -69,8 +62,9 @@ _fallbacks = 0
 
 
 def replay_fallbacks() -> int:
-    """Memories that asked for replay but step (always counted, also
-    while telemetry is off; mirrored to ``cache.replay.fallback``)."""
+    """Memories whose hierarchy cannot replay, so they step (always
+    counted, also while telemetry is off; mirrored to
+    ``cache.replay.fallback``)."""
     with _fallback_lock:
         return _fallbacks
 
@@ -87,12 +81,12 @@ class TracedArray:
 
     Create via :meth:`Memory.array`.  ``touch(i)`` models reading or
     writing element ``i``; ``touch_many(indices)`` models one reference
-    per index, in order (``touch_all`` is a retained alias);
-    ``touch_run(start, count)`` models a sequential scan and exploits
-    the guarantee that consecutive elements on one line hit L1 after
-    the line is first referenced; ``touch_runs(starts, lengths)`` is
-    its batched form.  ``element_lines(indices)`` exposes the
-    element-to-line mapping for the frontier runtime's block emitter.
+    per index, in order; ``touch_run(start, count)`` models a
+    sequential scan and exploits the guarantee that consecutive
+    elements on one line hit L1 after the line is first referenced;
+    ``touch_runs(starts, lengths)`` is its batched form.
+    ``element_lines(indices)`` exposes the element-to-line mapping for
+    the frontier runtime's block emitter.
     """
 
     __slots__ = ("name", "length", "itemsize", "_base", "_memory")
@@ -125,22 +119,22 @@ class TracedArray:
                 f"of length {self.length}"
             )
         memory = self._memory
-        line = (self._base + index * self.itemsize) >> memory._line_shift
-        if memory._record:
-            touches = memory._trace.touches
-            touches.append(line)
-            if len(touches) >= memory._chunk:
-                memory._replay_buffer()
-        else:
-            memory._level_counts[memory._hierarchy.access(line)] += 1
+        touches = memory._trace.touches
+        touches.append(
+            (self._base + index * self.itemsize) >> memory._line_shift
+        )
+        if len(touches) >= memory._chunk:
+            memory._replay_buffer()
 
     def touch_many(self, indices) -> None:
         """Model one reference per element of ``indices``, in order.
 
-        Semantically ``for i in indices: self.touch(i)``; in replay
-        mode the whole batch is captured as one vectorised trace
-        segment, which removes the per-edge Python from the traced
-        algorithms' hot loops.
+        Semantically ``for i in indices: self.touch(i)``; the whole
+        batch is captured as one vectorised trace segment, which
+        removes the per-edge Python from the traced algorithms' hot
+        loops.  Conversion, bounds check and line arithmetic are
+        deferred to the next replay (see :class:`TraceBuffer`), so an
+        out-of-range index raises when a result is read.
         """
         idx = np.asarray(indices)
         if idx.ndim != 1:
@@ -155,29 +149,10 @@ class TracedArray:
         if idx.shape[0] == 0:
             return
         memory = self._memory
-        if memory._record:
-            # Deferred: conversion, bounds check and line arithmetic
-            # all happen vectorised at freeze time (see TraceBuffer).
-            memory._trace.record_many(
-                idx, self._base, self.itemsize, self.length, self.name
-            )
-            memory._buffered()
-            return
-        idx = idx.astype(np.int64, copy=False)
-        if int(idx.min()) < 0 or int(idx.max()) >= self.length:
-            raise InvalidParameterError(
-                f"touch_many indices outside array {self.name!r} "
-                f"of length {self.length}"
-            )
-        lines = (self._base + idx * self.itemsize) >> memory._line_shift
-        counts = memory._level_counts
-        access = memory._hierarchy.access
-        for line in lines.tolist():
-            counts[access(line)] += 1
-
-    def touch_all(self, indices) -> None:
-        """Alias of :meth:`touch_many` (the original spelling)."""
-        self.touch_many(indices)
+        memory._trace.record_many(
+            idx, self._base, self.itemsize, self.length, self.name
+        )
+        memory._buffered()
 
     def touch_run(self, start: int, count: int) -> None:
         """Model a sequential scan of ``count`` elements from ``start``.
@@ -199,48 +174,23 @@ class TracedArray:
             )
         memory = self._memory
         shift = memory._line_shift
-        itemsize = self.itemsize
-        base = self._base
-        first_line = (base + start * itemsize) >> shift
-        last_line = (base + (start + count - 1) * itemsize) >> shift
-        if memory._record:
-            memory._trace.record_run(
-                first_line, last_line - first_line + 1, count
-            )
-            memory._buffered()
-            return
-        counts = memory._level_counts
-        access = memory._hierarchy.access
-        per_line = (1 << shift) // itemsize
-        remaining = count
-        # First (possibly partial) line: a demand access.
-        offset_in_line = (
-            (base + start * itemsize) & ((1 << shift) - 1)
-        ) // itemsize
-        on_first = min(remaining, per_line - offset_in_line)
-        counts[access(first_line)] += 1
-        counts[1] += on_first - 1
-        remaining -= on_first
-        # Subsequent lines: prefetched fills + L1-hit element reads.
-        prefetched = 0
-        line = first_line + 1
-        while line <= last_line:
-            on_line = min(remaining, per_line)
-            access(line)
-            prefetched += 1
-            counts[1] += on_line
-            remaining -= on_line
-            line += 1
-        memory._prefetched_refs += prefetched
+        first_line = (self._base + start * self.itemsize) >> shift
+        last_line = (
+            self._base + (start + count - 1) * self.itemsize
+        ) >> shift
+        memory._trace.record_run(
+            first_line, last_line - first_line + 1, count
+        )
+        memory._buffered()
 
     def touch_runs(self, starts, lengths) -> None:
         """Model a batch of sequential scans, in order.
 
         Semantically ``for s, c in zip(starts, lengths):
         self.touch_run(s, c)`` — zero-length runs are skipped, bounds
-        are checked per run.  In replay mode the whole batch lands in
-        the trace buffer with one vectorised append instead of one
-        Python call per run.
+        are checked per run.  The whole batch lands in the trace buffer
+        with one vectorised append instead of one Python call per
+        run.
         """
         s = np.asarray(starts)
         c = np.asarray(lengths)
@@ -268,17 +218,11 @@ class TracedArray:
                 f"of length {self.length}"
             )
         memory = self._memory
-        if memory._record:
-            shift = memory._line_shift
-            first = (self._base + s * self.itemsize) >> np.int64(shift)
-            last = (
-                self._base + (s + c - 1) * self.itemsize
-            ) >> np.int64(shift)
-            memory._trace.record_runs(first, last - first + 1, c)
-            memory._buffered()
-            return
-        for start, count in zip(s.tolist(), c.tolist()):
-            self.touch_run(start, count)
+        shift = np.int64(memory._line_shift)
+        first = (self._base + s * self.itemsize) >> shift
+        last = (self._base + (s + c - 1) * self.itemsize) >> shift
+        memory._trace.record_runs(first, last - first + 1, c)
+        memory._buffered()
 
     def element_lines(self, indices) -> np.ndarray:
         """Cache line ids of ``indices`` (vectorised, bounds-checked).
@@ -316,41 +260,24 @@ class TracedArray:
 class Memory:
     """Simulated address space + cache hierarchy + cost accounting.
 
-    ``cache_backend`` selects the simulation strategy (see the module
-    docstring): ``"replay"`` (the default) records the trace and
-    replays it vectorised in chunks of :func:`chunk_accesses`
-    accesses, ``"step"`` is the scalar oracle.  Results are
-    backend-independent by construction.
+    Every touch is recorded and handed to the hierarchy in chunks of
+    :func:`chunk_accesses` accesses (see the module docstring).
     """
 
     def __init__(
         self,
         hierarchy: CacheHierarchy | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        cache_backend: str = "replay",
     ) -> None:
-        if cache_backend not in CACHE_BACKENDS:
-            raise InvalidParameterError(
-                f"cache_backend must be one of {CACHE_BACKENDS}, "
-                f"got {cache_backend!r}"
-            )
         self._hierarchy = hierarchy or scaled_hierarchy()
         line_size = self._hierarchy.line_size
         self._line_shift = line_size.bit_length() - 1
         self._next_base = 0
         self.cost_model = cost_model
-        self.cache_backend = cache_backend
-        self._record = (
-            cache_backend == "replay"
-            and isinstance(self._hierarchy, CacheHierarchy)
-            and self._hierarchy.supports_replay
-        )
-        if cache_backend == "replay" and not self._record:
+        if not self._hierarchy.supports_replay:
             _count_fallback()
         self._trace = TraceBuffer(self._line_shift)
-        self._chunk = (
-            chunk_accesses(self._hierarchy) if self._record else 0
-        )
+        self._chunk = chunk_accesses(self._hierarchy)
         self._level_counts = [0] * (self._hierarchy.num_levels + 1)
         #: Pure-CPU cycles added via :meth:`work`.
         self.extra_work = 0.0
@@ -364,17 +291,15 @@ class Memory:
 
     @property
     def replaying(self) -> bool:
-        """Whether this memory records for vectorised replay.
+        """Whether the recorded trace is resolved by vectorised replay.
 
-        False for ``cache_backend="step"``, and also when
-        ``cache_backend="replay"`` was asked for but the hierarchy
-        cannot be replayed exactly — a level with a non-LRU policy, or
-        a wrapper that is not a :class:`CacheHierarchy` (such as
-        :class:`~repro.cache.reuse.RecordingHierarchy`).  Such a memory
-        steps every access; each fallback counts on
-        ``cache.replay.fallback`` (:func:`replay_fallbacks`).
+        True when every level is LRU
+        (:attr:`CacheHierarchy.supports_replay`).  Otherwise each chunk
+        is stepped through :meth:`CacheHierarchy.step_trace`; each such
+        memory counts once on ``cache.replay.fallback``
+        (:func:`replay_fallbacks`).
         """
-        return self._record
+        return self._hierarchy.supports_replay
 
     def array(self, name: str, length: int, itemsize: int) -> TracedArray:
         """Declare (allocate) an array and return its traced handle.
@@ -432,47 +357,37 @@ class Memory:
         L1 hits by construction; ``prefetched`` counts the ``False``
         entries for :attr:`prefetched_refs`.
 
-        In replay mode the block is appended to the trace buffer by
-        reference (one Python call per block); in step mode it is
-        stepped scalar — exactly the accesses the scalar emitters
-        would make, so backends stay counter-identical.
+        The block is appended to the trace buffer by reference (one
+        Python call per block); it holds exactly the accesses the
+        scalar emitters would make, so the two stay counter-identical.
         """
         if lines.ndim != 1 or demand.shape != lines.shape:
             raise InvalidParameterError(
                 f"touch_block expects aligned 1-D arrays, got shapes "
                 f"{lines.shape} and {demand.shape}"
             )
-        if self._record:
-            self._trace.record_block(lines, demand, extra_l1, prefetched)
-            self._buffered()
-            return
-        counts = self._level_counts
-        access = self._hierarchy.access
-        for line, dem in zip(lines.tolist(), demand.tolist()):
-            if dem:
-                counts[access(line)] += 1
-            else:
-                access(line)
-        counts[1] += extra_l1
-        self._prefetched_refs += prefetched
+        self._trace.record_block(lines, demand, extra_l1, prefetched)
+        self._buffered()
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def _buffered(self) -> None:
-        """Replay the buffer once a recorded segment fills a chunk."""
+        """Resolve the buffer once a recorded segment fills a chunk."""
         if self._trace.num_accesses >= self._chunk:
             self._replay_buffer()
 
     def _replay_buffer(self) -> None:
-        """Replay and drop everything buffered since the last replay.
+        """Resolve and drop everything buffered since the last call.
 
-        Replay is stateful (:meth:`CacheHierarchy.replay` starts from
-        the current cache contents and leaves the final ones), so
-        replaying the trace piece by piece — in chunks as the buffer
-        fills, and for the remainder whenever a result is read — gives
-        the counters one replay of the whole trace would.  A buffer
-        longer than a chunk (one large block) replays in chunk-sized
+        The only place accesses reach the hierarchy: by
+        :meth:`CacheHierarchy.replay` when :attr:`replaying`, else by
+        :meth:`CacheHierarchy.step_trace`.  Both start from the
+        current cache contents and leave the final ones, so resolving
+        the trace piece by piece — in chunks as the buffer fills, and
+        for the remainder whenever a result is read — gives the
+        counters one pass over the whole trace would.  A buffer longer
+        than a chunk (one large block) is resolved in chunk-sized
         slices, which bounds the classifier's working memory too.
         """
         if self._trace.empty:
@@ -481,16 +396,21 @@ class Memory:
         self._trace = TraceBuffer(self._line_shift)
         lines = trace.lines
         total = trace.num_accesses
+        hierarchy = self._hierarchy
+        replaying = self.replaying
         with obs.span(
             "cache.replay", accesses=total, demand=trace.num_demand,
         ):
             serving = np.empty(total, dtype=np.int16)
             for lo in range(0, total, self._chunk):
                 hi = lo + self._chunk
-                serving[lo:hi] = self._hierarchy.replay(lines[lo:hi])
+                serving[lo:hi] = (
+                    hierarchy.replay(lines[lo:hi]) if replaying
+                    else hierarchy.step_trace(lines[lo:hi])
+                )
             counts = np.bincount(
                 serving[trace.demand],
-                minlength=self._hierarchy.num_levels + 1,
+                minlength=hierarchy.num_levels + 1,
             )
             level_counts = self._level_counts
             for depth, count in enumerate(counts.tolist()):
@@ -505,9 +425,9 @@ class Memory:
     def level_counts(self) -> list[int]:
         """References by serving level: ``[memory, L1, L2, L3, ...]``.
 
-        In replay mode reading this (or :meth:`stats`/:meth:`cost`)
-        replays whatever is still buffered, so the numbers always
-        reflect every touch recorded so far.
+        Reading this (or :meth:`stats`/:meth:`cost`) resolves whatever
+        is still buffered, so the numbers always reflect every touch
+        recorded so far.
         """
         self._replay_buffer()
         return self._level_counts

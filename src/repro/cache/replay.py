@@ -1,18 +1,18 @@
 """Vectorised trace replay: the cache simulator's batched backend.
 
 The scalar simulator pays one Python call per simulated reference —
-``TracedArray.touch`` → ``CacheHierarchy.access`` → per-level dict
-ops.  This module removes that per-reference interpreter round-trip
-the same way PR 3's batched kernel removed it from the ordering side:
-record now, compute later, array-wise.
+``CacheHierarchy.access`` → per-level dict ops.  This module removes
+that per-reference interpreter round-trip the same way the batched
+Gorder kernel removed it from the ordering side: record now, compute
+later, array-wise.
 
-* :class:`TraceBuffer` is the record side.  ``Memory`` (in replay
-  mode) appends single demand touches to an int64 ``array`` (the
-  hottest path), run-compresses sequential scans and stores bulk
-  touch batches *by reference* — index conversion, bounds checking
-  and line arithmetic are all deferred to ``freeze()``, which
-  interleaves everything back into one flat line-id access stream in
-  a handful of numpy passes.  The frontier runtime
+* :class:`TraceBuffer` is the record side.  ``Memory`` appends
+  single demand touches to an int64 ``array`` (the hottest path),
+  run-compresses sequential scans and stores bulk touch batches *by
+  reference* — index conversion, bounds checking and line arithmetic
+  are all deferred to ``freeze()``, which interleaves everything
+  back into one flat line-id access stream in a handful of numpy
+  passes.  The frontier runtime
   (:mod:`repro.algorithms.runtime`) bypasses even the deferred
   channels: it pre-resolves whole per-iteration access vectors to
   line ids and demand flags and appends them via ``record_block`` —
@@ -56,7 +56,8 @@ iff it is warm and ``d(t) < A``; the Fenwick-tree oracle in
 
 Replay is exact for LRU only: FIFO and random levels are not
 stack-distance characterisable, so ``Memory`` steps those geometries
-one access at a time instead, and counts each such fallback on
+one access at a time instead (:meth:`CacheHierarchy.step_trace`), and
+counts each such fallback on
 ``cache.replay.fallback``.
 """
 
@@ -683,7 +684,7 @@ class TraceBuffer:
       it keeps no int object per touch alive, and freezes by buffer);
     * runs — ``touch_run`` scans, stored as (first line, line count)
       pairs;
-    * bulk batches — ``touch_all`` index arrays, stored **by
+    * bulk batches — ``touch_many`` index arrays, stored **by
       reference** together with the owning array's layout.  No numpy
       work happens at record time; ``freeze()`` converts, bounds-checks
       and maps all batches to line ids in one vectorised pass.  The

@@ -15,6 +15,8 @@ tree over access timestamps.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -116,55 +118,52 @@ def median_reuse_distance(distances: np.ndarray) -> float:
     return float(np.median(warm))
 
 
-class RecordingHierarchy:
-    """Wraps a hierarchy, recording the line id of every access.
+class RecordingHierarchy(CacheHierarchy):
+    """A hierarchy over ``inner``'s levels that records every line id.
 
-    Drop-in for :class:`~repro.cache.layout.Memory`'s hierarchy slot;
-    the recorded trace feeds :func:`reuse_distances`.
+    It records each scalar :meth:`access` and each :meth:`replay`
+    chunk, in order; :meth:`trace` returns the recorded line ids for
+    :func:`reuse_distances`.  The levels are ``inner``'s own objects,
+    so ``inner``'s counters and contents advance with the recorder's.
+    Being a :class:`CacheHierarchy`, it replays exactly when every
+    level is LRU, so a :class:`~repro.cache.layout.Memory` over it
+    records its trace and hands it over in chunks: read a result from
+    the memory (``stats()`` or ``cost()``) before :meth:`trace`.
     """
 
+    __slots__ = ("_lines",)
+
     def __init__(self, inner: CacheHierarchy) -> None:
-        self._inner = inner
-        self.lines: list[int] = []
-
-    @property
-    def line_size(self) -> int:
-        return self._inner.line_size
-
-    @property
-    def num_levels(self) -> int:
-        return self._inner.num_levels
-
-    @property
-    def levels(self):
-        return self._inner.levels
+        super().__init__(inner.levels, name=inner.name)
+        self._lines = array("q")
 
     def access(self, line: int) -> int:
-        self.lines.append(line)
-        return self._inner.access(line)
+        self._lines.append(line)
+        return super().access(line)
 
-    def access_address(self, address: int) -> int:
-        return self.access(address // self.line_size)
-
-    def snapshot(self):
-        return self._inner.snapshot()
+    def replay(self, lines) -> np.ndarray:
+        serving = super().replay(lines)
+        self._lines.frombytes(
+            np.ascontiguousarray(lines, dtype=np.int64).tobytes()
+        )
+        return serving
 
     def reset_statistics(self) -> None:
-        """Zero the inner counters and restart the recorded trace.
+        """Zero the counters and restart the recorded trace.
 
         Both reset flavours start a fresh measurement window, so the
         trace restarts with them — otherwise a flush-then-rerun
         sequence would feed reuse-distance analysis a concatenation of
         two unrelated runs.
         """
-        self._inner.reset_statistics()
-        self.lines.clear()
+        super().reset_statistics()
+        self._lines = array("q")
 
     def flush(self) -> None:
-        """Cold-start the inner hierarchy and restart the trace."""
-        self._inner.flush()
-        self.lines.clear()
+        """Cold-start the levels and restart the trace."""
+        super().flush()
+        self._lines = array("q")
 
     def trace(self) -> np.ndarray:
         """The recorded line-id trace as an array."""
-        return np.array(self.lines, dtype=np.int64)
+        return np.array(self._lines, dtype=np.int64)

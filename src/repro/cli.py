@@ -37,9 +37,10 @@ and ``--log-json PATH`` (machine-readable JSONL trace; see
 
 Commands that compute orderings accept ``--ordering-backend
 batched|loop`` (the Gorder kernel) and ``--workers N`` (process pool
-for partitioned orderings); commands that simulate accept
-``--cache-backend step|replay`` (scalar stepping vs vectorised trace
-replay); see ``docs/performance.md``.
+for partitioned orderings).  Commands that simulate replay each trace
+through the cache hierarchy exactly; the step and scalar-emitter
+oracles are reachable from the tests and ``bench`` only (see
+``docs/performance.md``).
 
 The matrix commands (``speedup``, ``ranking``, ``sweep run``) run
 through the fault-tolerant sweep engine and accept ``--checkpoint``/
@@ -98,19 +99,13 @@ def _ordering_params(args: argparse.Namespace) -> dict:
 
 
 def _profile_from_args(args: argparse.Namespace) -> "perf.Profile":
-    """The requested profile, with any CLI simulation knobs applied."""
+    """The requested profile, with any CLI ordering knobs applied."""
     profile = perf.get_profile(getattr(args, "profile", None))
     params = _ordering_params(args)
     if params:
         profile = replace(
             profile, ordering_params=tuple(sorted(params.items()))
         )
-    cache_backend = getattr(args, "cache_backend", None)
-    if cache_backend is not None:
-        profile = replace(profile, cache_backend=cache_backend)
-    algo_backend = getattr(args, "algo_backend", None)
-    if algo_backend is not None:
-        profile = replace(profile, algo_backend=algo_backend)
     return profile
 
 
@@ -155,8 +150,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         params=params,
         hierarchy=profile.hierarchy(),
         ordering_params=_ordering_params(args),
-        cache_backend=profile.cache_backend,
-        algo_backend=profile.algo_backend,
     )
     stats = result.stats
     print(f"dataset     : {result.dataset}")
@@ -276,11 +269,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         perf.save_results(
             outcome.matrix(),
             args.save,
-            metadata={
-                "profile": profile.name,
-                "cache_backend": profile.cache_backend,
-                "algo_backend": profile.algo_backend,
-            },
+            metadata={"profile": profile.name},
             manifest=obs.run_manifest(
                 profile=profile.name, seed=profile.seed,
                 command="sweep run",
@@ -481,9 +470,9 @@ def _cmd_reuse(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     perm = compute_ordering(args.ordering, graph, seed=0)
     recorder = RecordingHierarchy(scaled_hierarchy())
-    algorithm_spec(args.algorithm).traced(
-        relabel(graph, perm), Memory(recorder)
-    )
+    memory = Memory(recorder)
+    algorithm_spec(args.algorithm).traced(relabel(graph, perm), memory)
+    memory.stats()  # hands the buffered tail of the trace to the recorder
     distances = reuse_distances(recorder.trace())
     curve = miss_curve(distances, [16, 64, 256, 1024])
     print(f"dataset   : {graph.name}")
@@ -901,23 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="modelled queries for `--ordering auto` amortisation "
              "(default 100000)",
     )
-    # Cache-simulation flags shared by the simulating commands.
-    cache_flags = argparse.ArgumentParser(add_help=False)
-    group = cache_flags.add_argument_group("cache simulation")
-    group.add_argument(
-        "--cache-backend",
-        choices=("step", "replay"),
-        default=None,
-        help="cache simulator: vectorised trace replay (profile "
-             "default) or scalar stepping",
-    )
-    group.add_argument(
-        "--algo-backend",
-        choices=("runtime", "scalar"),
-        default=None,
-        help="trace emitter: vectorised frontier runtime (default) "
-             "or the scalar-loop oracle (counter-identical)",
-    )
     # Sweep-engine flags shared by the matrix commands.
     sweep_flags = argparse.ArgumentParser(add_help=False)
     group = sweep_flags.add_argument_group("fault tolerance")
@@ -995,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the arrangement here")
 
     p = sub.add_parser(
-        "run", parents=[telemetry_flags, ordering_flags, cache_flags],
+        "run", parents=[telemetry_flags, ordering_flags],
         help="simulate one algorithm run",
     )
     p.set_defaults(func=_cmd_run)
@@ -1012,9 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(
             name,
-            parents=[
-                telemetry_flags, sweep_flags, ordering_flags, cache_flags
-            ],
+            parents=[telemetry_flags, sweep_flags, ordering_flags],
             help=help_text,
         )
         p.set_defaults(func=func)
@@ -1032,9 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = p.add_subparsers(dest="sweep_command", required=True)
     p = sweep_sub.add_parser(
         "run",
-        parents=[
-            telemetry_flags, sweep_flags, ordering_flags, cache_flags
-        ],
+        parents=[telemetry_flags, sweep_flags, ordering_flags],
         help="run the speedup matrix through the sweep engine",
     )
     p.set_defaults(func=_cmd_sweep_run)
@@ -1087,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "docs/robustness.md)")
 
     p = sub.add_parser(
-        "stall", parents=[telemetry_flags, cache_flags],
+        "stall", parents=[telemetry_flags],
         help="Figure 1: execute vs stall",
     )
     p.set_defaults(func=_cmd_stall)
@@ -1095,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None)
 
     p = sub.add_parser(
-        "cache-stats", parents=[telemetry_flags, cache_flags],
+        "cache-stats", parents=[telemetry_flags],
         help="Table 3: PR cache statistics",
     )
     p.set_defaults(func=_cmd_cache_stats)
@@ -1103,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None)
 
     p = sub.add_parser(
-        "window", parents=[telemetry_flags, cache_flags],
+        "window", parents=[telemetry_flags],
         help="Figure 4: window sweep",
     )
     p.set_defaults(func=_cmd_window)
@@ -1145,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("gorder", "cache", "algos", "frontier"),
                    default="gorder",
                    help="gorder: ordering kernel (BENCH_gorder.json); "
-                        "cache: trace-replay simulator backend "
+                        "cache: trace replay vs the step oracle "
                         "(BENCH_cache.json); algos: frontier-runtime "
                         "vs scalar emitters (BENCH_algos.json); "
                         "frontier: adaptive ordering selector "

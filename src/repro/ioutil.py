@@ -1,4 +1,5 @@
-"""Atomic file writes shared by every persistence path.
+"""Atomic file writes and the journal reader shared by every
+persistence path.
 
 One pattern, one implementation: write to a sibling ``*.tmp`` file in
 the target directory, fsync, then ``os.replace`` onto the final name,
@@ -14,12 +15,18 @@ data blocks were flushed.
 The static-analysis rule REP002 (:mod:`repro.analysis.rules`) flags
 truncating writes that bypass this module, so new persistence code is
 steered here mechanically.
+
+Append-only JSONL journals (the sweep checkpoint, the bench trend
+history, telemetry traces) are read back by :func:`read_jsonl`, which
+tolerates the one failure an append can leave behind: a torn final
+line.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any
@@ -94,3 +101,45 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically."""
     with atomic_open(path, "wb") as handle:
         handle.write(data)
+
+
+def read_jsonl(
+    path: str | os.PathLike,
+    error: type[Exception],
+    what: str,
+    on_torn_tail: Callable[[int], None],
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each JSON object in a journal.
+
+    Blank lines are skipped.  A final line that is not valid JSON — a
+    writer killed mid-append — is dropped after calling
+    ``on_torn_tail(line number)`` (callers emit their warning event);
+    invalid JSON anywhere else, a record that is not a JSON object, or
+    an unreadable file raises ``error`` naming the path (``what``
+    labels it, e.g. ``"checkpoint"``) and the line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if lineno == len(lines):
+                on_torn_tail(lineno)
+                return
+            raise error(
+                f"{what} {path}:{lineno}: not valid JSON ({exc.msg})"
+            ) from exc
+        if not isinstance(record, dict):
+            raise error(
+                f"{what} {path}:{lineno}: expected a JSON object, "
+                f"got {type(record).__name__}"
+            )
+        yield lineno, record

@@ -9,12 +9,11 @@ machine produced the trace.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.obs.core import TelemetryError
+from repro.ioutil import read_jsonl
+from repro.obs.core import TELEMETRY, TelemetryError
 
 
 @dataclass
@@ -54,40 +53,13 @@ def iter_trace(path: str | os.PathLike):
     traces from crashed runs still summarise.  Corruption anywhere
     else in the file still raises :class:`TelemetryError`.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TelemetryError(f"cannot read trace {path}: {exc}") from exc
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                # Torn tail: the writer died mid-append.  Same
-                # semantics as the sweep checkpoint reader — drop the
-                # partial record, keep everything before it.
-                from repro.obs.core import TELEMETRY
+    def torn_tail(line: int) -> None:
+        TELEMETRY.event(
+            "obs.trace_torn_tail", level="warning", path=str(path),
+            line=line,
+        )
 
-                TELEMETRY.event(
-                    "obs.trace_torn_tail",
-                    level="warning",
-                    path=str(path),
-                    line=lineno,
-                )
-                return
-            raise TelemetryError(
-                f"{path}:{lineno}: not valid JSON ({exc.msg})"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise TelemetryError(
-                f"{path}:{lineno}: expected a JSON object, "
-                f"got {type(payload).__name__}"
-            )
+    for _, payload in read_jsonl(path, TelemetryError, "trace", torn_tail):
         yield payload
 
 

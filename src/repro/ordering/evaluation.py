@@ -7,9 +7,7 @@ estimate and a simulated cache probe into one
 :class:`OrderingEvaluation`, and :func:`evaluate_all` sweeps the
 registry to produce a comparison table.
 
-The probe honours the same ``cache_backend``/``algo_backend`` knobs as
-the experiment runner (the simulated counters are identical either
-way for the all-LRU hierarchies; replay is just faster), and
+The probe simulates exactly like the experiment runner, and
 evaluations carry the measured ordering wall-time so cost-aware
 consumers — the adaptive selector in :mod:`repro.ordering.select`
 first among them — can amortise ordering cost against probe savings.
@@ -84,18 +82,14 @@ class OrderingEvaluation:
 def probe_arrangement(
     graph: CSRGraph,
     perm: np.ndarray,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
 ):
     """Run the NQ cache probe for one arrangement.
 
     Returns ``(total_cycles, stats)`` for the relabelled graph on the
-    scaled hierarchy, using the requested simulator and algorithm
-    backends instead of hard-coding the scalar step path.
+    scaled hierarchy.
     """
-    memory = Memory(scaled_hierarchy(), cache_backend=cache_backend)
-    traced = algorithms.traced_fn(algorithms.spec("nq"), algo_backend)
-    traced(relabel(graph, perm), memory)
+    memory = Memory(scaled_hierarchy())
+    algorithms.spec("nq").traced(relabel(graph, perm), memory)
     return memory.cost().total_cycles, memory.stats()
 
 
@@ -104,16 +98,11 @@ def evaluate_ordering(
     perm: np.ndarray,
     name: str = "custom",
     window: int = DEFAULT_WINDOW,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     ordering_seconds: float = float("nan"),
 ) -> OrderingEvaluation:
     """Evaluate one arrangement on every quality axis."""
     perm = validate_permutation(perm, graph.num_nodes)
-    probe_cycles, stats = probe_arrangement(
-        graph, perm,
-        cache_backend=cache_backend, algo_backend=algo_backend,
-    )
+    probe_cycles, stats = probe_arrangement(graph, perm)
     return OrderingEvaluation(
         ordering=name,
         gorder_f=gorder_score(graph, perm, window=window),
@@ -133,8 +122,6 @@ def evaluate_all(
     ordering_names=None,
     seed: int = 0,
     window: int = DEFAULT_WINDOW,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     ordering_params: dict | None = None,
 ) -> list[OrderingEvaluation]:
     """Evaluate several registered orderings; best probe first.
@@ -162,8 +149,6 @@ def evaluate_all(
                 perm,
                 name=name,
                 window=window,
-                cache_backend=cache_backend,
-                algo_backend=algo_backend,
                 ordering_seconds=seconds,
             )
         )

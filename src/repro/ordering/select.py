@@ -202,8 +202,6 @@ def _probe_candidate(
     graph: CSRGraph,
     config: CandidateConfig,
     seed: int,
-    cache_backend: str,
-    algo_backend: str,
 ) -> tuple[np.ndarray, float, float]:
     """``(perm, ordering_seconds, probe_cycles)`` for one candidate."""
     start = time.perf_counter()
@@ -211,10 +209,7 @@ def _probe_candidate(
         config.ordering, graph, seed=seed, **config.ordering_params()
     )
     ordering_seconds = time.perf_counter() - start
-    cycles, _ = probe_arrangement(
-        graph, perm,
-        cache_backend=cache_backend, algo_backend=algo_backend,
-    )
+    cycles, _ = probe_arrangement(graph, perm)
     return perm, ordering_seconds, float(cycles)
 
 
@@ -223,8 +218,6 @@ def _select(
     query_volume: float = DEFAULT_QUERY_VOLUME,
     candidates: tuple[CandidateConfig, ...] | None = None,
     seed: int = 0,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     clock_hz: float = DEFAULT_CLOCK_HZ,
     dataset: str = "",
 ) -> tuple[SelectionDecision, np.ndarray]:
@@ -284,9 +277,7 @@ def _select(
                         cost_floor=round(floor, 6),
                     )
                     continue
-            perm, seconds, cycles = _probe_candidate(
-                graph, config, seed, cache_backend, algo_backend
-            )
+            perm, seconds, cycles = _probe_candidate(graph, config, seed)
             if baseline_cycles is None:
                 baseline_cycles = cycles
             if config.ordering != "original":
@@ -352,8 +343,6 @@ def select_ordering(
     query_volume: float = DEFAULT_QUERY_VOLUME,
     candidates: tuple[CandidateConfig, ...] | None = None,
     seed: int = 0,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     clock_hz: float = DEFAULT_CLOCK_HZ,
     dataset: str = "",
 ) -> SelectionDecision:
@@ -363,8 +352,6 @@ def select_ordering(
         query_volume=query_volume,
         candidates=candidates,
         seed=seed,
-        cache_backend=cache_backend,
-        algo_backend=algo_backend,
         clock_hz=clock_hz,
         dataset=dataset,
     )
@@ -377,8 +364,8 @@ def select_ordering(
 #: its wrapper accepts ``**params``).
 _AUTO_KNOBS = frozenset(
     {
-        "query_volume", "clock_hz", "cache_backend", "algo_backend",
-        "window", "backend", "workers", "candidates", "dataset",
+        "query_volume", "clock_hz", "window", "backend", "workers",
+        "candidates", "dataset",
     }
 )
 
@@ -387,8 +374,7 @@ def auto_order(graph: CSRGraph, seed: int = 0, **params) -> np.ndarray:
     """The registry ordering ``auto``: select, then arrange.
 
     Accepts the selector knobs (``query_volume``, ``clock_hz``,
-    ``cache_backend``, ``algo_backend``, ``candidates``, ``dataset``)
-    plus the sweep-wide ordering knobs ``window``/``backend``/
+    ``candidates``, ``dataset``) plus the sweep-wide ordering knobs ``window``/``backend``/
     ``workers``, which parameterise the candidate set.  Unknown
     parameters are dropped.  Returns the chosen arrangement — the
     permutation computed during probing, not a recomputation.

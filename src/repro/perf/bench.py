@@ -369,32 +369,24 @@ def _hierarchy_factory(name: str):
         ) from None
 
 
-class _ChunkCapture(CacheHierarchy):
-    """A hierarchy that sees every chunk a replaying ``Memory`` hands
-    it: kept for later (``keep``) and/or simulated (``simulate``).
-
-    Without simulation every access reads as served by memory, which
+class _EmitOnly(CacheHierarchy):
+    """A hierarchy that skips the simulation of every chunk a
+    ``Memory`` hands it: each access reads as served by memory, which
     leaves a timed run with trace emission and chunk materialisation
-    only.
-    """
-
-    def __init__(
-        self,
-        hierarchy: CacheHierarchy,
-        keep: bool = True,
-        simulate: bool = True,
-    ) -> None:
-        super().__init__(hierarchy.levels, hierarchy.name)
-        self.keep = keep
-        self.simulate = simulate
-        self.chunks: list[np.ndarray] = []
+    only."""
 
     def replay(self, lines) -> np.ndarray:
-        if self.keep:
-            self.chunks.append(np.array(lines, dtype=np.int64))
-        if self.simulate:
-            return super().replay(lines)
         return np.zeros(len(lines), dtype=np.int16)
+
+
+class _Stepped(CacheHierarchy):
+    """A hierarchy that cannot replay, so a ``Memory`` over it resolves
+    its trace with :meth:`CacheHierarchy.step_trace` (the step
+    oracle)."""
+
+    @property
+    def supports_replay(self) -> bool:
+        return False
 
 
 def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
@@ -406,7 +398,7 @@ def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
     identical — a perf harness must never bless a wrong answer.
     """
     from repro.algorithms.pagerank import pagerank_traced
-    from repro.cache import Memory
+    from repro.cache import Memory, RecordingHierarchy
     from repro.graph import datasets
 
     config = config or CacheBenchConfig()
@@ -420,11 +412,11 @@ def run_cache_bench(config: CacheBenchConfig | None = None) -> dict:
     ):
         # One captured trace feeds both simulation paths; the
         # capturing run itself replays it chunk by chunk.
-        capture = _ChunkCapture(factory())
-        memory = Memory(capture, cache_backend="replay")
+        capture = RecordingHierarchy(factory())
+        memory = Memory(capture)
         pagerank_traced(graph, memory, iterations=config.iterations)
         level_counts = list(memory.level_counts)
-        lines = np.concatenate(capture.chunks)
+        lines = capture.trace()
         num_accesses = int(lines.shape[0])
 
         def run_step():
@@ -503,14 +495,15 @@ def _bench_end_to_end(graph, factory, config: CacheBenchConfig) -> dict:
 
     Unlike the headline simulate-only numbers this includes the traced
     algorithm's own Python body and the trace recording, which both
-    backends' users pay identically.
+    backends' users pay identically.  The step run resolves the same
+    chunks through :meth:`CacheHierarchy.step_trace`.
     """
     from repro.algorithms.pagerank import pagerank_traced
     from repro.cache import Memory
 
-    def run(backend: str):
+    def run(make_hierarchy):
         def body():
-            memory = Memory(factory(), cache_backend=backend)
+            memory = Memory(make_hierarchy())
             pagerank_traced(
                 graph, memory, iterations=config.iterations
             )
@@ -518,8 +511,8 @@ def _bench_end_to_end(graph, factory, config: CacheBenchConfig) -> dict:
 
         return _timed(body, config.repeats)
 
-    counts_step, step_seconds = run("step")
-    counts_replay, replay_seconds = run("replay")
+    counts_step, step_seconds = run(lambda: _Stepped(factory().levels))
+    counts_replay, replay_seconds = run(factory)
     if counts_step != counts_replay:
         raise BenchRegressionError(
             "replay and step backends diverged end-to-end on "
@@ -627,23 +620,18 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
             algorithm = algorithms.spec(name)
             params = params_by_algo.get(name, {})
 
-            def run(backend: str):
-                traced = algorithms.traced_fn(algorithm, backend)
-
+            def run(traced):
                 def emit():
                     # Replay streams inside the traced run, so the
                     # emission-only timing drives a hierarchy that
                     # skips the simulation but still materialises
                     # every chunk (flushed by the final read).
-                    memory = Memory(
-                        _ChunkCapture(factory(), False, False),
-                        cache_backend="replay",
-                    )
+                    memory = Memory(_EmitOnly(factory().levels))
                     traced(graph, memory, **params)
                     return memory.level_counts
 
                 def simulate():
-                    memory = Memory(factory(), cache_backend="replay")
+                    memory = Memory(factory())
                     result = traced(graph, memory, **params)
                     return result, memory, list(memory.level_counts)
 
@@ -662,11 +650,11 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
             (
                 s_result, s_counts, s_refs, s_prefetched,
                 scalar_seconds, scalar_sim,
-            ) = run("scalar")
+            ) = run(algorithm.traced_scalar)
             (
                 r_result, r_counts, r_refs, r_prefetched,
                 runtime_seconds, runtime_sim,
-            ) = run("runtime")
+            ) = run(algorithm.traced)
             identical = (
                 bool(np.array_equal(
                     np.asarray(s_result), np.asarray(r_result)
@@ -752,8 +740,6 @@ class FrontierBenchConfig:
     #: Acceptance band: the chosen configuration's probe cycles must
     #: land within this fraction of the measured oracle best.
     tolerance: float = 0.10
-    cache_backend: str = "replay"
-    algo_backend: str = "runtime"
     seed: int = 0
     quick: bool = False
 
@@ -789,7 +775,7 @@ def run_frontier_bench(
           "quick": bool,
           "manifest": {...},
           "workload": {"datasets", "query_volume", "clock_hz",
-                       "cache_backend", "algo_backend", "tolerance"},
+                       "tolerance"},
           "datasets": {
             "<name>": {"nodes", "edges", "predictors", "probes",
                        "pruned", "selected", "oracle", "regret",
@@ -828,8 +814,6 @@ def run_frontier_bench(
                 graph,
                 query_volume=config.query_volume,
                 seed=config.seed,
-                cache_backend=config.cache_backend,
-                algo_backend=config.algo_backend,
                 dataset=name,
             )
             clock_hz = decision.clock_hz
@@ -879,8 +863,6 @@ def run_frontier_bench(
             "datasets": list(config.datasets),
             "query_volume": config.query_volume,
             "clock_hz": clock_hz,
-            "cache_backend": config.cache_backend,
-            "algo_backend": config.algo_backend,
             "tolerance": config.tolerance,
         },
         "datasets": per_dataset,
@@ -903,8 +885,7 @@ def render_frontier_bench(payload: dict) -> str:
     workload = payload["workload"]
     lines = [
         f"workload    : NQ x{workload['query_volume']:,.0f} on "
-        f"{', '.join(workload['datasets'])} "
-        f"({workload['cache_backend']}/{workload['algo_backend']})",
+        f"{', '.join(workload['datasets'])}",
     ]
     for name, entry in payload["datasets"].items():
         lines.append(

@@ -44,7 +44,7 @@ from pathlib import Path
 from repro import obs
 from repro.errors import ReproError
 from repro.graph import datasets
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_jsonl
 from repro.ordering import base as ordering_base
 from repro.perf.experiments import Profile, algorithm_params
 from repro.perf.faults import FaultPlan
@@ -201,41 +201,23 @@ class SweepCheckpoint:
         self.path = Path(path)
 
     # -- reading -------------------------------------------------------
-    @staticmethod
-    def _parse_lines(path: Path) -> list[dict]:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint {path}: {exc}"
-            ) from exc
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        records: list[dict] = []
-        for index, line in enumerate(lines):
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    # A torn final append — the kill landed mid-write.
-                    # Discard it; that cell re-runs on resume.
-                    obs.event(
-                        "sweep.checkpoint_torn_tail",
-                        level="warning",
-                        path=str(path),
-                        line=index + 1,
-                    )
-                    break
-                raise CheckpointError(
-                    f"checkpoint {path} is corrupt at line "
-                    f"{index + 1}: {exc}"
-                ) from exc
-        return records
-
     def load(self) -> CheckpointState:
-        """Parse the journal into a :class:`CheckpointState`."""
-        records = self._parse_lines(self.path)
+        """Parse the journal into a :class:`CheckpointState`.
+
+        A torn final append (the kill landed mid-write) is discarded;
+        that cell re-runs on resume.
+        """
+        def torn_tail(line: int) -> None:
+            obs.event(
+                "sweep.checkpoint_torn_tail", level="warning",
+                path=str(self.path), line=line,
+            )
+
+        records = [
+            record for _, record in read_jsonl(
+                self.path, CheckpointError, "checkpoint", torn_tail
+            )
+        ]
         if not records or records[0].get("kind") != "header":
             raise CheckpointError(
                 f"checkpoint {self.path} has no header line"
@@ -418,8 +400,6 @@ def _execute_cell_body(
         cache=cache,
         dataset_name=cell.dataset,
         ordering_params=dict(profile.ordering_params),
-        cache_backend=profile.cache_backend,
-        algo_backend=profile.algo_backend,
     )
 
 

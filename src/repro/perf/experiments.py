@@ -63,18 +63,6 @@ class Profile:
     #: pairs so the profile stays hashable and JSON-roundtrippable.
     #: The CLI's ``--ordering-backend``/``--workers`` flags land here.
     ordering_params: tuple[tuple[str, object], ...] = ()
-    #: Cache simulation backend for every cell
-    #: (:data:`repro.cache.layout.CACHE_BACKENDS`).  Profiles default
-    #: to the vectorised ``"replay"`` path — counter-identical to
-    #: ``"step"`` for the all-LRU profile hierarchies, much faster.
-    #: The CLI's ``--cache-backend`` flag overrides it.
-    cache_backend: str = "replay"
-    #: Trace emitter for every cell
-    #: (:data:`repro.algorithms.base.ALGO_BACKENDS`): the vectorised
-    #: frontier ``"runtime"`` or the scalar-loop ``"scalar"`` oracle
-    #: (counter-identical).  The CLI's ``--algo-backend`` flag
-    #: overrides it.
-    algo_backend: str = "runtime"
 
     def hierarchy(self) -> CacheHierarchy:
         """A fresh cache hierarchy for one run."""
@@ -234,8 +222,6 @@ def _representative_run(
             cache=cache,
             dataset_name=dataset_name,
             ordering_params=dict(profile.ordering_params),
-            cache_backend=profile.cache_backend,
-            algo_backend=profile.algo_backend,
         )
         for seed in seeds
     ]
@@ -307,8 +293,6 @@ def cache_stall_split(
                 params=params,
                 hierarchy=profile.hierarchy(),
                 dataset_name=dataset_name,
-                cache_backend=profile.cache_backend,
-                algo_backend=profile.algo_backend,
             )
     return results
 
@@ -359,8 +343,6 @@ def cache_stats_table(
             params=params,
             hierarchy=profile.hierarchy(),
             dataset_name=dataset_name,
-            cache_backend=profile.cache_backend,
-            algo_backend=profile.algo_backend,
         )
         for ordering in profile.orderings
     }
@@ -387,13 +369,10 @@ def window_sweep(
             start = time.perf_counter()
             perm = gorder_order(graph, window=window)
             ordering_seconds = time.perf_counter() - start
-        memory = Memory(
-            profile.hierarchy(), cache_backend=profile.cache_backend
-        )
+        memory = Memory(profile.hierarchy())
         with obs.span(
             "run.simulate", dataset=dataset_name, algorithm="pr",
             ordering=f"gorder(w={window})",
-            cache_backend=profile.cache_backend,
         ):
             pagerank_spec.traced(relabel(graph, perm), memory, **params)
         obs.progress(

@@ -313,8 +313,6 @@ def run_cell(
     cache: OrderingCache | None = None,
     dataset_name: str | None = None,
     ordering_params: dict | None = None,
-    cache_backend: str = "replay",
-    algo_backend: str = "runtime",
     cancel_check: Callable[[], None] | None = None,
 ) -> RunResult:
     """Execute one experiment cell and return its :class:`RunResult`.
@@ -326,15 +324,6 @@ def run_cell(
     ``ordering_params`` are forwarded to the ordering computation
     (signature-filtered, see
     :func:`repro.ordering.base.compute_ordering`).
-    ``cache_backend`` selects the cache simulation strategy
-    (:data:`repro.cache.layout.CACHE_BACKENDS`): ``"replay"`` (the
-    default) streams the recorded trace through vectorised replay with
-    byte-identical counters for all-LRU hierarchies, ``"step"`` steps
-    the hierarchy one access at a time.
-    ``algo_backend`` selects the trace emitter
-    (:data:`repro.algorithms.base.ALGO_BACKENDS`): ``"runtime"`` the
-    vectorised frontier runtime, ``"scalar"`` the scalar-loop oracle
-    (counter-identical by construction; kept for cross-checks).
     ``cancel_check`` is a cooperative cancellation hook (the serve
     daemon's deadline enforcement): it is invoked at the phase
     boundaries of the run — before the ordering is computed, after
@@ -344,7 +333,6 @@ def run_cell(
     # None check, not truthiness: an empty OrderingCache is falsy.
     cache = GLOBAL_ORDERING_CACHE if cache is None else cache
     algorithm_spec = algorithms.spec(algorithm)
-    traced = algorithms.traced_fn(algorithm_spec, algo_backend)
     if cancel_check is not None:
         cancel_check()
     relabeled, perm, ordering_seconds = cache.relabeled(
@@ -361,9 +349,7 @@ def run_cell(
             else:
                 run_params[key] = [int(perm[int(v)]) for v in value]
     hierarchy = hierarchy or scaled_hierarchy()
-    memory = Memory(
-        hierarchy, cost_model=cost_model, cache_backend=cache_backend
-    )
+    memory = Memory(hierarchy, cost_model=cost_model)
     if cancel_check is not None:
         cancel_check()
     with obs.span(
@@ -372,12 +358,10 @@ def run_cell(
         algorithm=algorithm_spec.name,
         ordering=orderings.spec(ordering).name,
         seed=seed,
-        cache_backend=cache_backend,
-        algo_backend=algo_backend,
     ):
         start = time.perf_counter()
-        traced(relabeled, memory, **run_params)
-        # Reading cost/stats triggers the lazy replay (if any) inside
+        algorithm_spec.traced(relabeled, memory, **run_params)
+        # Reading cost/stats resolves the buffered trace tail inside
         # the timed simulate span, and before the counter publish.
         cost = memory.cost()
         stats = memory.stats()

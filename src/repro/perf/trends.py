@@ -39,6 +39,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.errors import InvalidParameterError, ReproError
+from repro.ioutil import read_jsonl
 
 #: Current history-record schema version.
 HISTORY_SCHEMA_VERSION = 1
@@ -213,46 +214,22 @@ def load_history(path: str | os.PathLike) -> list[dict]:
     anywhere except the final line (a killed append).  Records with a
     newer schema version are rejected rather than misread.
     """
-    history = Path(path)
-    try:
-        text = history.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TrendError(
-            f"cannot read history {history}: {exc}"
-        ) from exc
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    def torn_tail(line: int) -> None:
+        obs.event(
+            "trends.torn_tail", level="warning", path=str(path),
+            line=line,
+        )
+
     records: list[dict] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                obs.event(
-                    "trends.torn_tail",
-                    level="warning",
-                    path=str(history),
-                    line=lineno,
-                )
-                break
-            raise TrendError(
-                f"history {history} is corrupt at line {lineno}: "
-                f"{exc.msg}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise TrendError(
-                f"history {history}:{lineno}: expected a JSON "
-                f"object, got {type(record).__name__}"
-            )
+    for lineno, record in read_jsonl(
+        path, TrendError, "history", torn_tail
+    ):
         if record.get("kind") != "bench":
             continue
         version = record.get("schema_version")
         if version != HISTORY_SCHEMA_VERSION:
             raise TrendError(
-                f"history {history}:{lineno} has schema_version "
+                f"history {path}:{lineno} has schema_version "
                 f"{version!r}; this build reads "
                 f"{HISTORY_SCHEMA_VERSION}"
             )

@@ -196,8 +196,6 @@ class RunRequest:
     ordering: str = "gorder"
     seed: int | None = None
     ordering_params: dict = field(default_factory=dict)
-    cache_backend: str = "replay"
-    algo_backend: str = "runtime"
     profile: str = "quick"
     deadline_seconds: float | None = None
 
@@ -220,13 +218,6 @@ class RunRequest:
             ),
             seed=seed,
             ordering_params=_ordering_params(payload),
-            cache_backend=_require_str(
-                payload, "cache_backend", "replay", ("step", "replay")
-            ),
-            algo_backend=_require_str(
-                payload, "algo_backend", "runtime",
-                ("runtime", "scalar"),
-            ),
             profile=_require_str(payload, "profile", "quick"),
             deadline_seconds=_optional_number(
                 payload, "deadline_seconds"

@@ -15,6 +15,7 @@ from repro.algorithms.deltastep import (
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators
+from tests.conftest import RESOLVERS, resolved_by
 
 
 def tiny_hierarchy():
@@ -84,9 +85,9 @@ class TestPureOracle:
 
 class TestTracedParity:
     @pytest.mark.parametrize("delta", [1, DEFAULT_DELTA, 40])
-    @pytest.mark.parametrize("cache_backend", ["step", "replay"])
-    def test_matches_oracle(self, social, cache_backend, delta):
-        memory = Memory(tiny_hierarchy(), cache_backend=cache_backend)
+    @pytest.mark.parametrize("resolver", RESOLVERS)
+    def test_matches_oracle(self, social, resolver, delta):
+        memory = Memory(resolved_by(resolver, tiny_hierarchy()))
         traced = delta_stepping_traced(
             social, memory, source=2, delta=delta
         )
@@ -106,14 +107,14 @@ class TestTracedParity:
     )
     def test_edge_case_graphs(self, edges, num_nodes):
         graph = from_edges(edges, num_nodes=num_nodes)
-        memory = Memory(tiny_hierarchy(), cache_backend="replay")
+        memory = Memory(tiny_hierarchy())
         traced = delta_stepping_traced(graph, memory, source=0)
         assert np.array_equal(traced, delta_stepping(graph, source=0))
 
     def test_delta_does_not_change_distances(self, social):
         baseline = None
         for delta in (1, 3, 9, 100):
-            memory = Memory(tiny_hierarchy(), cache_backend="replay")
+            memory = Memory(tiny_hierarchy())
             distance = delta_stepping_traced(
                 social, memory, source=0, delta=delta
             )

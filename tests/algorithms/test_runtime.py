@@ -8,15 +8,15 @@ Two layers of guarantees:
   touch_run equivalence);
 * parity tests run every runtime-ported algorithm against its scalar
   oracle and require identical results **and** identical per-level
-  cache counters on both cache backends — the runtime's contract is
-  reproducing the scalar touch sequence reference-for-reference, not
-  approximating it.
+  cache counters, resolved by replay and by the step oracle — the
+  runtime's contract is reproducing the scalar touch sequence
+  reference-for-reference, not approximating it.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms import ALGO_BACKENDS, REGISTRY, traced_fn
+from repro.algorithms import REGISTRY
 from repro.algorithms.runtime import (
     BucketQueue,
     Frontier,
@@ -29,6 +29,7 @@ from repro.algorithms.runtime import (
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators
+from tests.conftest import RESOLVERS, resolved_by
 
 
 def tiny_hierarchy():
@@ -208,8 +209,8 @@ class TestTraceEmitter:
         lines = np.asarray([0, 3, 1, 3, 0], dtype=np.int64)
         demand = np.asarray([True, True, False, True, True])
         memories = {}
-        for backend in ("step", "replay"):
-            memory = Memory(tiny_hierarchy(), cache_backend=backend)
+        for backend in RESOLVERS:
+            memory = Memory(resolved_by(backend, tiny_hierarchy()))
             TraceEmitter(memory).flush(
                 lines, demand, extra_l1=2, prefetched=1
             )
@@ -230,30 +231,30 @@ class TestTraceEmitter:
 
 
 # ---------------------------------------------------------------------
-# Backend dispatch
+# Oracle wiring: the scalar emitter each runtime port is checked against
 # ---------------------------------------------------------------------
 RUNTIME_PORTED = ("nq", "bfs", "sp", "pr", "lp", "diam", "tc")
 
 
 class TestBackendDispatch:
-    def test_backends_enumerated(self):
-        assert ALGO_BACKENDS == ("runtime", "scalar")
-
     @pytest.mark.parametrize("name", RUNTIME_PORTED)
     def test_scalar_backend_selects_the_oracle(self, name):
         spec = REGISTRY[name]
-        assert traced_fn(spec, "runtime") is spec.traced
-        assert traced_fn(spec, "scalar") is spec.traced_scalar
+        assert spec.traced_scalar is not None
         assert spec.traced_scalar is not spec.traced
+        assert spec.traced_scalar.__name__ == (
+            spec.traced.__name__ + "_scalar"
+        )
 
     def test_scalar_backend_falls_back_without_an_oracle(self):
         spec = REGISTRY["kcore"]  # scalar by design: no separate oracle
         assert spec.traced_scalar is None
-        assert traced_fn(spec, "scalar") is spec.traced
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            traced_fn(REGISTRY["bfs"], "gpu")
+    def test_every_oracle_is_parity_tested(self):
+        assert set(RUNTIME_PORTED) == {
+            name for name, spec in REGISTRY.items()
+            if spec.traced_scalar is not None
+        }
 
 
 # ---------------------------------------------------------------------
@@ -282,9 +283,8 @@ def parity_params(name):
     return {}
 
 
-def run_backend(graph, name, algo_backend, cache_backend, params):
-    memory = Memory(tiny_hierarchy(), cache_backend=cache_backend)
-    traced = traced_fn(REGISTRY[name], algo_backend)
+def run_backend(graph, traced, resolver, params):
+    memory = Memory(resolved_by(resolver, tiny_hierarchy()))
     result = traced(graph, memory, **params)
     return (
         np.asarray(result),
@@ -294,19 +294,20 @@ def run_backend(graph, name, algo_backend, cache_backend, params):
     )
 
 
-def assert_counter_identical(graph, name, cache_backend, params=None):
+def assert_counter_identical(graph, name, resolver, params=None):
     params = parity_params(name) if params is None else params
-    scalar = run_backend(graph, name, "scalar", cache_backend, params)
-    runtime = run_backend(graph, name, "runtime", cache_backend, params)
+    spec = REGISTRY[name]
+    scalar = run_backend(graph, spec.traced_scalar, resolver, params)
+    runtime = run_backend(graph, spec.traced, resolver, params)
     assert np.array_equal(scalar[0], runtime[0])
     assert scalar[1:] == runtime[1:]
 
 
 class TestCounterIdentity:
-    @pytest.mark.parametrize("cache_backend", ["step", "replay"])
+    @pytest.mark.parametrize("resolver", RESOLVERS)
     @pytest.mark.parametrize("name", RUNTIME_PORTED)
-    def test_social_graph(self, social, name, cache_backend):
-        assert_counter_identical(social, name, cache_backend)
+    def test_social_graph(self, social, name, resolver):
+        assert_counter_identical(social, name, resolver)
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     @pytest.mark.parametrize("name", RUNTIME_PORTED)

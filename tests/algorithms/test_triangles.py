@@ -23,7 +23,7 @@ from repro.algorithms.triangles import (
 from repro.analysis.engine import run_project_lint
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.graph import from_edges, generators
-from tests.conftest import graph_strategy
+from tests.conftest import graph_strategy, resolved_by
 
 REPO_ALGORITHMS = (
     Path(__file__).resolve().parents[2] / "src" / "repro" / "algorithms"
@@ -40,8 +40,8 @@ def tiny_hierarchy():
     )
 
 
-def counters(traced, graph, cache_backend="replay"):
-    memory = Memory(tiny_hierarchy(), cache_backend=cache_backend)
+def counters(traced, graph, resolver="replay"):
+    memory = Memory(resolved_by(resolver, tiny_hierarchy()))
     count = traced(graph, memory)
     stats = memory.stats()
     return (
@@ -57,9 +57,9 @@ def counters(traced, graph, cache_backend="replay"):
     )
 
 
-def assert_counter_identical(graph, cache_backend="replay"):
-    runtime = counters(triangle_count_traced, graph, cache_backend)
-    scalar = counters(triangle_count_traced_scalar, graph, cache_backend)
+def assert_counter_identical(graph, resolver="replay"):
+    runtime = counters(triangle_count_traced, graph, resolver)
+    scalar = counters(triangle_count_traced_scalar, graph, resolver)
     assert runtime == scalar
     return runtime
 
@@ -104,7 +104,7 @@ class TestCounterIdentity:
 
     @pytest.mark.parametrize("name", ["isolated-and-triangle", "social"])
     def test_step_backend(self, name):
-        assert_counter_identical(FIXED[name], cache_backend="step")
+        assert_counter_identical(FIXED[name], resolver="step")
 
     @settings(max_examples=60, deadline=None)
     @given(graph=graph_strategy(max_nodes=14, max_edges=60))

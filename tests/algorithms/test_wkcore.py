@@ -11,6 +11,7 @@ from repro.algorithms.wkcore import (
 )
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.graph import from_edges, generators
+from tests.conftest import RESOLVERS, resolved_by
 
 
 def tiny_hierarchy():
@@ -59,9 +60,9 @@ class TestPureOracle:
 
 
 class TestTracedParity:
-    @pytest.mark.parametrize("cache_backend", ["step", "replay"])
-    def test_matches_oracle(self, social, cache_backend):
-        memory = Memory(tiny_hierarchy(), cache_backend=cache_backend)
+    @pytest.mark.parametrize("resolver", RESOLVERS)
+    def test_matches_oracle(self, social, resolver):
+        memory = Memory(resolved_by(resolver, tiny_hierarchy()))
         traced = weighted_core_decomposition_traced(social, memory)
         assert np.array_equal(
             traced, weighted_core_decomposition(social)
@@ -80,7 +81,7 @@ class TestTracedParity:
     )
     def test_edge_case_graphs(self, edges, num_nodes):
         graph = from_edges(edges, num_nodes=num_nodes)
-        memory = Memory(tiny_hierarchy(), cache_backend="replay")
+        memory = Memory(tiny_hierarchy())
         traced = weighted_core_decomposition_traced(graph, memory)
         assert np.array_equal(
             traced, weighted_core_decomposition(graph)

@@ -5,20 +5,20 @@ import pytest
 
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.errors import InvalidParameterError
+from tests.conftest import StepOracle
 
 
 def small_memory():
-    """The step-backend memory (replay is the default; these tests
-    check the scalar path's eager behaviour)."""
+    """A memory over the step oracle (the replaying twin is
+    :func:`small_replay_memory`)."""
     return Memory(
-        CacheHierarchy(
+        StepOracle(
             [
                 CacheLevel(2 * 64, 64, 2, "L1"),
                 CacheLevel(4 * 64, 64, 4, "L2"),
                 CacheLevel(8 * 64, 64, 8, "L3"),
             ]
-        ),
-        cache_backend="step",
+        )
     )
 
 
@@ -196,8 +196,7 @@ def small_replay_memory():
                 CacheLevel(4 * 64, 64, 4, "L2"),
                 CacheLevel(8 * 64, 64, 8, "L3"),
             ]
-        ),
-        cache_backend="replay",
+        )
     )
 
 
@@ -230,12 +229,16 @@ class TestBatchTouchApis:
         assert replay.total_refs == step.total_refs
 
     def test_touch_many_bounds_checked(self):
-        array = small_memory().array("a", 8, 4)
-        with pytest.raises(InvalidParameterError, match="outside"):
-            array.touch_many(np.asarray([0, 8]))
-        with pytest.raises(InvalidParameterError, match="outside"):
-            array.touch_many(np.asarray([-1, 0]))
-        array.touch_many(np.asarray([0, 7]))  # boundary is fine
+        # Bounds are checked when the buffered trace is resolved, that
+        # is, when a result is read.
+        for bad in ([0, 8], [-1, 0]):
+            memory = small_memory()
+            memory.array("a", 8, 4).touch_many(np.asarray(bad))
+            with pytest.raises(InvalidParameterError, match="outside"):
+                memory.level_counts
+        memory = small_memory()
+        memory.array("a", 8, 4).touch_many(np.asarray([0, 7]))
+        assert sum(memory.level_counts) == 2  # boundary is fine
 
     def test_touch_many_deferred_bounds_raise_at_freeze(self):
         memory = small_replay_memory()

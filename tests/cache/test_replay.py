@@ -1,9 +1,10 @@
 """Tests for the vectorised trace-replay cache backend.
 
 The contract under test: ``hit_mask`` / ``CacheHierarchy.replay`` /
-``Memory(cache_backend="replay")`` are *exactly* equivalent to the
-scalar step path — same hit/miss verdicts, same counters, same costs —
-for every all-LRU geometry, and degrade gracefully everywhere else.
+a ``Memory`` over an all-LRU hierarchy are *exactly* equivalent to the
+scalar step path (the :class:`~tests.conftest.StepOracle`) — same
+hit/miss verdicts, same counters, same costs — for every all-LRU
+geometry, and degrade gracefully everywhere else.
 """
 
 import tracemalloc
@@ -38,6 +39,7 @@ from repro.cache.reuse import (
     reuse_distances,
 )
 from repro.errors import InvalidParameterError
+from tests.conftest import RESOLVERS, StepOracle, resolved_by
 
 
 def scalar_hits(lines, num_sets, ways, policy="lru"):
@@ -243,25 +245,11 @@ class TestTraceBuffer:
         assert trace.num_demand == 0
 
 
-class CapturingHierarchy(CacheHierarchy):
-    """Keeps a copy of every chunk ``Memory`` replays through it."""
-
-    def __init__(self, levels):
-        super().__init__(levels)
-        self.chunks = []
-
-    def replay(self, lines):
-        self.chunks.append(np.array(lines, dtype=np.int64))
-        return super().replay(lines)
-
-
 def lru_memories():
     """A (step, replay) pair over identical small LRU hierarchies."""
     return (
-        Memory(make_hierarchy([(2, 2), (4, 4)]), cache_backend="step"),
-        Memory(
-            make_hierarchy([(2, 2), (4, 4)]), cache_backend="replay"
-        ),
+        Memory(StepOracle(make_hierarchy([(2, 2), (4, 4)]).levels)),
+        Memory(make_hierarchy([(2, 2), (4, 4)])),
     )
 
 
@@ -271,7 +259,7 @@ def drive(memory):
     for i in (0, 8, 0, 63, 8):
         array.touch(i)
     array.touch_run(4, 40)
-    other.touch_all(np.array([0, 31, 0, 15]))
+    other.touch_many(np.array([0, 31, 0, 15]))
     array.touch(0)
 
 
@@ -281,6 +269,7 @@ class TestMemoryBackends:
         drive(step)
         drive(replay)
         assert replay.replaying is True
+        assert step.replaying is False
         assert replay.level_counts == step.level_counts
         assert replay.stats() == step.stats()
         assert replay.cost() == step.cost()
@@ -301,72 +290,73 @@ class TestMemoryBackends:
         assert replay.level_counts == step.level_counts
         assert replay.stats() == step.stats()
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(InvalidParameterError, match="cache_backend"):
-            Memory(cache_backend="warp")
-
     def test_non_lru_hierarchy_falls_back_to_stepping(self):
         for policy in ("fifo", "random"):
-            replay = Memory(
-                make_hierarchy([(2, 2)], policy=policy),
-                cache_backend="replay",
-            )
-            step = Memory(
-                make_hierarchy([(2, 2)], policy=policy),
-                cache_backend="step",
-            )
-            assert replay.replaying is False
-            a_replay = replay.array("a", 64, 8)
-            a_step = step.array("a", 64, 8)
+            memory = Memory(make_hierarchy([(2, 2)], policy=policy))
+            reference = make_hierarchy([(2, 2)], policy=policy)
+            assert memory.replaying is False
+            array = memory.array("a", 64, 8)
+            counts = [0, 0]
             for i in (0, 8, 16, 0, 8):
-                a_replay.touch(i)
-                a_step.touch(i)
-            assert replay.level_counts == step.level_counts
+                array.touch(i)
+                counts[reference.access(array.line_of(i))] += 1
+            assert memory.level_counts == counts
+            assert memory.stats() == reference.snapshot()
 
     def test_recording_wrapper_falls_back_but_still_records(self):
-        inner = make_hierarchy([(2, 2)])
-        wrapper = RecordingHierarchy(inner)
-        memory = Memory(wrapper, cache_backend="replay")
+        recorder = RecordingHierarchy(make_hierarchy([(2, 2)], "fifo"))
+        memory = Memory(recorder)
         assert memory.replaying is False
         array = memory.array("a", 16, 8)
         array.touch(0)
         array.touch(8)
-        assert wrapper.trace().shape[0] == 2
+        memory.stats()
+        assert recorder.trace().tolist() == [
+            array.line_of(0), array.line_of(8)
+        ]
+
+    def test_recording_hierarchy_replays_and_records(self):
+        recorder = RecordingHierarchy(make_hierarchy([(2, 2)]))
+        memory = Memory(recorder)
+        assert memory.replaying is True
+        array = memory.array("a", 16, 8)
+        array.touch(0)
+        array.touch(8)
+        assert recorder.trace().shape[0] == 0  # still buffered
+        memory.stats()
+        assert recorder.trace().tolist() == [
+            array.line_of(0), array.line_of(8)
+        ]
 
     def test_capturing_hierarchy_sees_the_whole_trace(self):
-        hierarchy = CapturingHierarchy(make_hierarchy([(2, 2)]).levels)
-        memory = Memory(hierarchy, cache_backend="replay")
+        recorder = RecordingHierarchy(make_hierarchy([(2, 2)]))
+        memory = Memory(recorder)
         array = memory.array("a", 64, 8)
         array.touch(0)
         array.touch_run(8, 16)
         counts = memory.level_counts
-        lines = np.concatenate(hierarchy.chunks)
+        lines = recorder.trace()
         assert lines.shape[0] == 3  # line 0, then lines 1..2 of the run
         assert lines.shape[0] - memory.prefetched_refs == 2  # demand
         assert sum(counts) == memory.total_refs
         # Reading again replays nothing new.
         assert memory.level_counts == counts
-        assert len(hierarchy.chunks) == 1
+        assert recorder.trace().shape[0] == 3
 
     def test_touch_all_rejects_bad_indices_lazily(self):
-        memory = Memory(
-            make_hierarchy([(2, 2)]), cache_backend="replay"
-        )
-        array = memory.array("scores", 8, 8)
-        array.touch_all(np.array([0, 12]))  # deferred: no error yet
-        with pytest.raises(InvalidParameterError, match="'scores'"):
-            memory.level_counts
+        for memory in lru_memories():
+            array = memory.array("scores", 8, 8)
+            array.touch_many(np.array([0, 12]))  # deferred: no error yet
+            with pytest.raises(InvalidParameterError, match="'scores'"):
+                memory.level_counts
 
     def test_touch_all_rejects_bad_dtype_and_shape(self):
-        for backend in ("step", "replay"):
-            memory = Memory(
-                make_hierarchy([(2, 2)]), cache_backend=backend
-            )
+        for memory in lru_memories():
             array = memory.array("a", 8, 8)
             with pytest.raises(InvalidParameterError, match="integer"):
-                array.touch_all(np.array([0.5, 1.0]))
+                array.touch_many(np.array([0.5, 1.0]))
             with pytest.raises(InvalidParameterError, match="1-D"):
-                array.touch_all(np.array([[1], [2]]))
+                array.touch_many(np.array([[1], [2]]))
 
     def test_reset_discards_recorded_trace(self):
         step, replay = lru_memories()
@@ -389,11 +379,9 @@ class TestAllAlgorithmsEquivalence:
     def test_backend_equivalence(self, name, small_social):
         spec = algorithms.spec(name)
         results = {}
-        for backend in ("step", "replay"):
-            memory = Memory(
-                make_hierarchy([(2, 2), (4, 4), (8, 8)]),
-                cache_backend=backend,
-            )
+        for backend in RESOLVERS:
+            hierarchy = make_hierarchy([(2, 2), (4, 4), (8, 8)])
+            memory = Memory(resolved_by(backend, hierarchy))
             spec.traced(small_social, memory)
             results[backend] = (
                 memory.level_counts,
@@ -505,8 +493,8 @@ def paired_memories():
     """A (step, replay) pair over identical three-level hierarchies."""
     geometry = [(2, 2), (4, 4), (8, 8)]
     return (
-        Memory(make_hierarchy(geometry), cache_backend="step"),
-        Memory(make_hierarchy(geometry), cache_backend="replay"),
+        Memory(StepOracle(make_hierarchy(geometry).levels)),
+        Memory(make_hierarchy(geometry)),
     )
 
 
@@ -591,6 +579,7 @@ class TestStreamingMemory:
         before = replay_fallbacks()
         Memory(make_hierarchy([(2, 2)], policy="fifo"))
         Memory(RecordingHierarchy(make_hierarchy([(2, 2)])))
-        Memory(make_hierarchy([(2, 2)]), cache_backend="step")
+        Memory(RecordingHierarchy(make_hierarchy([(2, 2)], "fifo")))
+        Memory(StepOracle(make_hierarchy([(2, 2)]).levels))
         Memory(make_hierarchy([(2, 2)]))
-        assert replay_fallbacks() == before + 2
+        assert replay_fallbacks() == before + 3

@@ -98,6 +98,7 @@ class TestRecordingHierarchy:
         array.touch(0)
         array.touch(32)
         array.touch(0)
+        memory.stats()  # hands the buffered trace to the recorder
         trace = recorder.trace()
         assert trace.shape == (3,)
         assert trace[0] == trace[2]
@@ -114,7 +115,26 @@ class TestRecordingHierarchy:
         memory = Memory(recorder)
         array = memory.array("a", 64, 4)  # 4 lines
         array.touch_run(0, 64)
+        memory.stats()
         assert recorder.trace().shape == (4,)
+
+    def test_trace_holds_every_line_handed_over(self, small_social):
+        """Regression: the recorded trace is every line the memory
+        hands to the hierarchy, demand and prefetched, tail included."""
+        from repro.algorithms import breadth_first_search_traced
+
+        recorder = RecordingHierarchy(scaled_hierarchy())
+        memory = Memory(recorder)
+        breadth_first_search_traced(small_social, memory)
+        stats = memory.stats()
+        trace = recorder.trace()
+        # Every line handed over is one L1 reference.
+        assert trace.shape[0] == recorder.levels[0].refs
+        assert trace.shape[0] > memory.prefetched_refs > 0
+        # Stepping the recorded trace reproduces every counter.
+        fresh = scaled_hierarchy()
+        fresh.step_trace(trace)
+        assert fresh.snapshot() == stats
 
     def test_ordering_improves_median_reuse_distance(self):
         """End to end: Gorder's NQ trace has shorter reuse distances
@@ -132,7 +152,9 @@ class TestRecordingHierarchy:
             ("random", random_order(graph, seed=1)),
         ):
             recorder = RecordingHierarchy(scaled_hierarchy())
-            neighbor_query_traced(relabel(graph, perm), Memory(recorder))
+            memory = Memory(recorder)
+            neighbor_query_traced(relabel(graph, perm), memory)
+            memory.stats()
             medians[label] = median_reuse_distance(
                 reuse_distances(recorder.trace())
             )
@@ -166,10 +188,12 @@ class TestRecorderResetClearsTrace:
         array = memory.array("a", 16, 8)
         array.touch(0)
         array.touch(8)
+        memory.stats()
         assert recorder.trace().shape[0] == 2
         recorder.flush()
         assert recorder.trace().shape[0] == 0
         array.touch(0)
+        memory.stats()
         assert recorder.trace().tolist() == [array.line_of(0)]
 
     def test_reset_statistics_restarts_trace(self):

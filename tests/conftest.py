@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.cache import CacheHierarchy
 from repro.graph import from_edges, generators
 from repro.graph.csr import CSRGraph
 
@@ -79,3 +80,29 @@ def assert_valid_permutation(perm: np.ndarray, num_nodes: int) -> None:
     """Assert ``perm`` is a permutation of ``range(num_nodes)``."""
     assert perm.shape == (num_nodes,)
     assert sorted(int(p) for p in perm) == list(range(num_nodes))
+
+
+class StepOracle(CacheHierarchy):
+    """The step oracle: a hierarchy over ``levels`` that cannot replay.
+
+    ``Memory`` resolves its trace through
+    :meth:`CacheHierarchy.step_trace` (one scalar ``access`` per line)
+    instead of vectorised replay; counters must not differ.
+    """
+
+    @property
+    def supports_replay(self) -> bool:
+        return False
+
+
+#: The two ways ``Memory`` resolves a trace, as test parameters.
+RESOLVERS = ("step", "replay")
+
+
+def resolved_by(resolver: str, hierarchy: CacheHierarchy) -> CacheHierarchy:
+    """``hierarchy`` itself for ``"replay"``; the step oracle over its
+    levels for ``"step"``."""
+    if resolver == "step":
+        return StepOracle(hierarchy.levels, hierarchy.name)
+    assert resolver == "replay", resolver
+    return hierarchy

@@ -77,31 +77,42 @@ class TestEvaluateAll:
         )
 
 
-class TestBackendPlumbing:
-    """Regression tests: the evaluation bundle must honour the cache
-    and algorithm backend arguments instead of silently probing with
-    the defaults, and must report how long each ordering took."""
+def step_probes(monkeypatch):
+    """Make the NQ probe resolve through the step oracle."""
+    from repro.cache import scaled_hierarchy
+    from repro.ordering import evaluation
+    from tests.conftest import StepOracle
 
-    def test_probe_counter_identity_replay_vs_step(self, graph):
+    monkeypatch.setattr(
+        evaluation, "scaled_hierarchy",
+        lambda: StepOracle(scaled_hierarchy().levels),
+    )
+
+
+class TestBackendPlumbing:
+    """Regression tests: the evaluation bundle's probe must match the
+    step oracle, and must report how long each ordering took."""
+
+    def test_probe_counter_identity_replay_vs_step(
+        self, graph, monkeypatch
+    ):
         from repro.ordering import probe_arrangement
         from repro.graph import identity_permutation
 
         perm = identity_permutation(graph.num_nodes)
-        step_cycles, step_stats = probe_arrangement(
-            graph, perm, cache_backend="step"
-        )
-        replay_cycles, replay_stats = probe_arrangement(
-            graph, perm, cache_backend="replay"
-        )
+        replay_cycles, replay_stats = probe_arrangement(graph, perm)
+        step_probes(monkeypatch)
+        step_cycles, step_stats = probe_arrangement(graph, perm)
         assert step_cycles == replay_cycles
         assert step_stats == replay_stats
 
-    def test_evaluate_ordering_accepts_backends(self, graph):
+    def test_evaluate_ordering_accepts_backends(self, graph, monkeypatch):
         from repro.graph import identity_permutation
 
         perm = identity_permutation(graph.num_nodes)
-        step = evaluate_ordering(graph, perm, cache_backend="step")
-        replay = evaluate_ordering(graph, perm, cache_backend="replay")
+        replay = evaluate_ordering(graph, perm)
+        step_probes(monkeypatch)
+        step = evaluate_ordering(graph, perm)
         assert step.probe_cycles == replay.probe_cycles
         assert step.l1_miss_rate == replay.l1_miss_rate
 

@@ -341,21 +341,20 @@ class TestAlgosPayloadSchema:
 class TestAlgosRegressionGuard:
     def test_divergence_raises(self, monkeypatch):
         """An emitter that changes results must never get a timing."""
+        import dataclasses
+
         from repro.algorithms import base as algorithms
 
-        real = algorithms.traced_fn
+        spec = algorithms.REGISTRY["nq"]
+        oracle = spec.traced_scalar
 
-        def crooked(spec, backend="runtime"):
-            fn = real(spec, backend)
-            if backend != "scalar":
-                return fn
+        def crooked(graph, memory, **params):
+            return np.asarray(oracle(graph, memory, **params)) + 1
 
-            def wrapper(graph, memory, **params):
-                return np.asarray(fn(graph, memory, **params)) + 1
-
-            return wrapper
-
-        monkeypatch.setattr(algorithms, "traced_fn", crooked)
+        monkeypatch.setitem(
+            algorithms.REGISTRY, "nq",
+            dataclasses.replace(spec, traced_scalar=crooked),
+        )
         with pytest.raises(BenchRegressionError):
             run_algos_bench(quick_algos_config())
 

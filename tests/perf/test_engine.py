@@ -325,7 +325,7 @@ class TestCheckpointResume:
         lines = ckpt.read_text().splitlines()
         lines[1] = lines[1][:10]  # corrupt a non-final line
         ckpt.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="corrupt at line 2"):
+        with pytest.raises(CheckpointError, match=r"ck\.jsonl:2: not valid JSON"):
             SweepCheckpoint(ckpt).load()
 
     def test_missing_header_raises(self, tmp_path):

@@ -222,28 +222,24 @@ class TestMedianOverSeeds:
 class TestProfileCacheBackend:
     def test_default_is_replay(self):
         profile = Profile(name="d", datasets=("epinion",))
-        assert profile.cache_backend == "replay"
+        assert profile.hierarchy().supports_replay
 
-    def test_replace_override(self):
-        from dataclasses import replace
+    def test_matrix_identical_across_backends(self, monkeypatch):
+        from repro.cache import scaled_hierarchy
+        from tests.conftest import StepOracle
 
-        base = Profile(name="d", datasets=("epinion",))
-        profile = replace(base, cache_backend="step")
-        assert profile.cache_backend == "step"
-
-    def test_matrix_identical_across_backends(self):
         base = Profile(
             name="parity",
             datasets=("epinion",),
             orderings=("gorder",),
             algorithms=("nq",),
         )
-        from dataclasses import replace
-
         fast = speedup_matrix(base)
-        slow = speedup_matrix(
-            replace(base, cache_backend="step")
+        monkeypatch.setattr(
+            Profile, "hierarchy",
+            lambda self: StepOracle(scaled_hierarchy().levels),
         )
+        slow = speedup_matrix(base)
         key = ("epinion", "nq", "gorder")
         assert fast[key].cycles == slow[key].cycles
         assert fast[key].stats == slow[key].stats

@@ -355,21 +355,16 @@ class TestRunnerConfiguration:
 
 
 class TestCacheBackendPlumbing:
-    """run_cell must produce one answer regardless of backend."""
+    """run_cell must produce the step oracle's answer."""
 
     def test_replay_matches_step(self, graph):
+        from repro.cache import scaled_hierarchy
+        from tests.conftest import StepOracle
+
         step = run_cell(graph, "pr", "gorder",
                         params={"iterations": 2},
-                        cache_backend="step")
+                        hierarchy=StepOracle(scaled_hierarchy().levels))
         replay = run_cell(graph, "pr", "gorder",
-                          params={"iterations": 2},
-                          cache_backend="replay")
+                          params={"iterations": 2})
         assert replay.cycles == step.cycles
         assert replay.stats == step.stats
-
-    def test_invalid_backend_rejected(self, graph):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="backend"):
-            run_cell(graph, "nq", "original",
-                     cache_backend="speculative")

@@ -150,6 +150,20 @@ class TestSchemaV3:
         assert archive.failures == []
         assert ("d", "a", "o") in archive.results
 
+    def test_archive_with_retired_backend_metadata_loads(self, tmp_path):
+        # Archives of ``sweep run`` used to record the cache and
+        # algorithm backends; the keys stay in ``metadata``.
+        path = tmp_path / "old.json"
+        metadata = {
+            "profile": "quick",
+            "cache_backend": "step",
+            "algo_backend": "scalar",
+        }
+        save_results([make_result()], path, metadata=metadata)
+        archive = read_archive(path)
+        assert archive.metadata == metadata
+        assert archive.results == {("d", "a", "o"): make_result()}
+
     def test_describe_names_the_cell(self):
         text = make_failure(timed_out=True).describe()
         assert "timeout" in text

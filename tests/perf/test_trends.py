@@ -227,7 +227,7 @@ class TestAppendLoad:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{oops\n")
         append_history(gorder_payload(), path)
-        with pytest.raises(TrendError, match="corrupt at line 1"):
+        with pytest.raises(TrendError, match=r"hist\.jsonl:1: not valid JSON"):
             load_history(path)
 
     def test_missing_file_raises(self, tmp_path):

@@ -101,7 +101,13 @@ class TestExtensionWorkloads:
 
 class TestWorkloadCacheBackend:
     def test_cycles_identical_across_backends(self, graph):
+        from repro.cache import scaled_hierarchy
+        from tests.conftest import StepOracle
+
         mixed = Workload.of("parity", "nq", ("pr", {"iterations": 2}))
-        assert mixed.cycles(graph, cache_backend="replay") == (
-            mixed.cycles(graph, cache_backend="step")
+        assert mixed.cycles(graph) == mixed.cycles(
+            graph,
+            hierarchy_factory=lambda: StepOracle(
+                scaled_hierarchy().levels
+            ),
         )

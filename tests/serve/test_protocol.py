@@ -83,7 +83,6 @@ class TestRunRequest:
             {"dataset": "epinion", "algorithm": "pr"}
         )
         assert request.algorithm == "pr"
-        assert request.cache_backend == "replay"
         assert request.seed is None
         assert request.profile == "quick"
 
@@ -91,41 +90,21 @@ class TestRunRequest:
         with pytest.raises(BadRequestError):
             RunRequest.from_payload({"dataset": "epinion"})
 
-    def test_bad_cache_backend(self):
-        with pytest.raises(BadRequestError):
-            RunRequest.from_payload(
-                {
-                    "dataset": "epinion",
-                    "algorithm": "pr",
-                    "cache_backend": "magic",
-                }
-            )
-
-    def test_algo_backend_defaults_to_runtime(self):
-        request = RunRequest.from_payload(
+    def test_scalar_algo_backend_accepted(self):
+        # The retired backend fields are accepted like any unknown
+        # field: ignored, parsed into the same request.
+        plain = RunRequest.from_payload(
             {"dataset": "epinion", "algorithm": "pr"}
         )
-        assert request.algo_backend == "runtime"
-
-    def test_scalar_algo_backend_accepted(self):
-        request = RunRequest.from_payload(
+        retired = RunRequest.from_payload(
             {
                 "dataset": "epinion",
                 "algorithm": "pr",
+                "cache_backend": "magic",
                 "algo_backend": "scalar",
             }
         )
-        assert request.algo_backend == "scalar"
-
-    def test_bad_algo_backend(self):
-        with pytest.raises(BadRequestError):
-            RunRequest.from_payload(
-                {
-                    "dataset": "epinion",
-                    "algorithm": "pr",
-                    "algo_backend": "vector",
-                }
-            )
+        assert retired == plain
 
 
 class TestErrorShaping:

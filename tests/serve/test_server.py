@@ -89,30 +89,32 @@ class TestEndpoints:
         assert status == 200
         assert payload["cycles"] > 0
         assert payload["seed"] == 0
-        assert payload["cache_backend"] == "replay"
         _, stats, _ = harness.get("/stats")
         # The run request found the ordering the order request
         # computed — via memory or disk, never a second compute.
         assert stats["counters"]["serve.store_computed"] == 1
 
-    def test_run_reports_and_honours_algo_backend(self, harness):
-        status, runtime, _ = harness.post(
+    def test_run_ignores_retired_backend_fields(self, harness):
+        status, plain, _ = harness.post(
             "/run", {"dataset": "epinion", "algorithm": "pr"}
         )
         assert status == 200
-        assert runtime["algo_backend"] == "runtime"
-        status, scalar, _ = harness.post(
+        status, retired, _ = harness.post(
             "/run",
             {
                 "dataset": "epinion",
                 "algorithm": "pr",
+                "cache_backend": "step",
                 "algo_backend": "scalar",
             },
         )
+        # Served like any unknown field: ignored, same counters.
         assert status == 200
-        assert scalar["algo_backend"] == "scalar"
-        # The scalar oracle is counter-identical to the runtime.
-        assert scalar["cycles"] == runtime["cycles"]
+        assert "cache_backend" not in retired
+        assert "algo_backend" not in retired
+        for key in ("cycles", "execute_cycles", "stall_cycles",
+                    "l1_miss_rate", "cache_miss_rate"):
+            assert retired[key] == plain[key], key
 
     def test_unknown_dataset_rejected_before_admission(
         self, harness

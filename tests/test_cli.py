@@ -126,26 +126,40 @@ class TestCommands:
 
 
 class TestCacheBackendFlag:
-    def test_parser_accepts_backends(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["run", "--dataset", "epinion", "--cache-backend", "step"]
-        )
-        assert args.cache_backend == "step"
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["run", "--dataset", "epinion",
-                 "--cache-backend", "magic"]
-            )
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--cache-backend", "step"), ("--algo-backend", "scalar")],
+    )
+    def test_retired_flags_exit_2(self, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--dataset", "epinion", flag, value])
+        assert excinfo.value.code == 2
 
-    def test_run_backends_agree(self, capsys):
-        outputs = []
-        for backend in ("step", "replay"):
-            assert main(
-                ["run", "--dataset", "epinion",
-                 "--algorithm", "nq", "--ordering", "gorder",
-                 "--cache-backend", backend]
-            ) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "cycles" in outputs[0]
+    def test_run_backends_agree(self, capsys, monkeypatch):
+        from repro.cache import scaled_hierarchy
+        from repro.perf import Profile
+        from tests.conftest import StepOracle
+
+        command = ["run", "--dataset", "epinion",
+                   "--algorithm", "nq", "--ordering", "gorder"]
+        assert main(command) == 0
+        replay = capsys.readouterr().out
+        monkeypatch.setattr(
+            Profile, "hierarchy",
+            lambda self: StepOracle(scaled_hierarchy().levels),
+        )
+        assert main(command) == 0
+        assert capsys.readouterr().out == replay
+        assert "cycles" in replay
+
+
+class TestReuseCommand:
+    def test_counts_the_whole_trace(self, capsys):
+        # The recorder sees the trace's buffered tail too: these are
+        # the figures of a run that stepped every access.
+        assert main(
+            ["reuse", "--dataset", "epinion", "--algorithm", "nq"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "accesses  : 7459 (line granularity)" in output
+        assert "median RD : 8 lines" in output
