@@ -20,6 +20,7 @@ from repro.algorithms.deltastep import (
 from repro.algorithms.dfs import (
     depth_first_search,
     depth_first_search_traced,
+    depth_first_search_traced_scalar,
 )
 from repro.algorithms.diameter import (
     diameter,
@@ -27,10 +28,15 @@ from repro.algorithms.diameter import (
     diameter_traced_scalar,
     pick_sources,
 )
-from repro.algorithms.domset import dominating_set, dominating_set_traced
+from repro.algorithms.domset import (
+    dominating_set,
+    dominating_set_traced,
+    dominating_set_traced_scalar,
+)
 from repro.algorithms.kcore import (
     core_decomposition,
     core_decomposition_traced,
+    core_decomposition_traced_scalar,
 )
 from repro.algorithms.labelprop import (
     label_propagation,
@@ -57,6 +63,7 @@ from repro.algorithms.runtime import (
 from repro.algorithms.scc import (
     strongly_connected_components,
     strongly_connected_components_traced,
+    strongly_connected_components_traced_scalar,
 )
 from repro.algorithms.sp import (
     INFINITY,
@@ -123,6 +130,10 @@ __all__ = [
     "shortest_paths_traced_scalar",
     "pagerank_traced_scalar",
     "diameter_traced_scalar",
+    "depth_first_search_traced_scalar",
+    "strongly_connected_components_traced_scalar",
+    "dominating_set_traced_scalar",
+    "core_decomposition_traced_scalar",
     "delta_stepping",
     "delta_stepping_traced",
     "edge_weights",

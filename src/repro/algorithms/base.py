@@ -24,16 +24,22 @@ from repro.algorithms.deltastep import (
 from repro.algorithms.dfs import (
     depth_first_search,
     depth_first_search_traced,
+    depth_first_search_traced_scalar,
 )
 from repro.algorithms.diameter import (
     diameter,
     diameter_traced,
     diameter_traced_scalar,
 )
-from repro.algorithms.domset import dominating_set, dominating_set_traced
+from repro.algorithms.domset import (
+    dominating_set,
+    dominating_set_traced,
+    dominating_set_traced_scalar,
+)
 from repro.algorithms.kcore import (
     core_decomposition,
     core_decomposition_traced,
+    core_decomposition_traced_scalar,
 )
 from repro.algorithms.labelprop import (
     label_propagation,
@@ -53,6 +59,7 @@ from repro.algorithms.pagerank import (
 from repro.algorithms.scc import (
     strongly_connected_components,
     strongly_connected_components_traced,
+    strongly_connected_components_traced_scalar,
 )
 from repro.algorithms.sp import (
     shortest_paths,
@@ -89,11 +96,11 @@ class AlgorithmSpec:
     scale_params: tuple[str, ...] = field(default=())
     #: Whether the algorithm belongs to the paper's benchmark nine.
     headline: bool = True
-    #: Scalar-loop trace emitter kept as the runtime port's oracle;
-    #: only the tests and ``bench --suite algos`` call it.  ``None``
-    #: when ``traced`` *is* the scalar implementation (the algorithm
-    #: has no vectorised frontier port) or when the traced variant has
-    #: no touch-sequence twin (DSSSP, WKcore).
+    #: Scalar-loop trace emitter kept as the oracle of a runtime port
+    #: or a line-recorder kernel; only the tests and ``bench --suite
+    #: algos`` call it.  ``None`` when ``traced`` *is* the scalar
+    #: implementation (WCC) or when the traced variant has no
+    #: touch-sequence twin (DSSSP, WKcore).
     traced_scalar: Callable[..., Any] | None = None
 
 
@@ -111,11 +118,13 @@ REGISTRY: dict[str, AlgorithmSpec] = {
             traced_scalar=breadth_first_search_traced_scalar,
         ),
         AlgorithmSpec(
-            "dfs", "DFS", depth_first_search, depth_first_search_traced
+            "dfs", "DFS", depth_first_search, depth_first_search_traced,
+            traced_scalar=depth_first_search_traced_scalar,
         ),
         AlgorithmSpec(
             "scc", "SCC", strongly_connected_components,
             strongly_connected_components_traced,
+            traced_scalar=strongly_connected_components_traced_scalar,
         ),
         AlgorithmSpec(
             "sp", "SP", shortest_paths, shortest_paths_traced,
@@ -128,11 +137,13 @@ REGISTRY: dict[str, AlgorithmSpec] = {
             traced_scalar=pagerank_traced_scalar,
         ),
         AlgorithmSpec(
-            "ds", "DS", dominating_set, dominating_set_traced
+            "ds", "DS", dominating_set, dominating_set_traced,
+            traced_scalar=dominating_set_traced_scalar,
         ),
         AlgorithmSpec(
             "kcore", "Kcore", core_decomposition,
             core_decomposition_traced,
+            traced_scalar=core_decomposition_traced_scalar,
         ),
         AlgorithmSpec(
             "diam", "Diam", diameter, diameter_traced,

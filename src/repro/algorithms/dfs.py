@@ -47,7 +47,62 @@ def depth_first_search(graph: CSRGraph) -> np.ndarray:
 def depth_first_search_traced(
     graph: CSRGraph, memory: Memory
 ) -> np.ndarray:
-    """Whole-graph DFS with traced memory accesses."""
+    """Whole-graph DFS with traced memory accesses.
+
+    Line ids go straight into the trace through a
+    :class:`~repro.cache.layout.LineRecorder`.
+    """
+    n = graph.num_nodes
+    traced = declare_graph(memory, graph)
+    recorder = memory.recorder()
+    visited0, visited_s = recorder.line_map(memory.array("visited", n, 1))
+    preorder0, preorder_s = recorder.line_map(
+        memory.array("preorder", n, NODE_BYTES)
+    )
+    stack0, stack_s = recorder.line_map(
+        memory.array("stack", n, NODE_BYTES)
+    )
+    offsets0, offsets_s = recorder.line_map(traced.offsets)
+    run = traced.adjacency.touch_run
+    append = recorder.append
+    step = recorder.step
+    offsets = graph.offsets.data
+    adjacency = graph.adjacency
+    visited = [False] * n
+    preorder = [0] * n
+    counter = 0
+    for root in range(n):
+        # Restart scan probes the visited flag.
+        append(visited0 + (root >> visited_s))
+        if visited[root]:
+            continue
+        visited[root] = True
+        stack = [root]
+        append(stack0)
+        while stack:
+            append(stack0 + ((len(stack) - 1) >> stack_s))
+            u = stack.pop()
+            append(preorder0 + (u >> preorder_s))
+            preorder[u] = counter
+            counter += 1
+            append(offsets0 + (u >> offsets_s))
+            start = offsets[u]
+            end = offsets[u + 1]
+            run(start, end - start)
+            for v in reversed(adjacency[start:end].tolist()):
+                append(visited0 + (v >> visited_s))
+                if not visited[v]:
+                    visited[v] = True
+                    stack.append(v)
+                    append(stack0 + ((len(stack) - 1) >> stack_s))
+            step()
+    return np.asarray(preorder, dtype=np.int64)
+
+
+def depth_first_search_traced_scalar(
+    graph: CSRGraph, memory: Memory
+) -> np.ndarray:
+    """Per-touch oracle of :func:`depth_first_search_traced`."""
     n = graph.num_nodes
     traced = declare_graph(memory, graph)
     traced_visited = memory.array("visited", n, 1)

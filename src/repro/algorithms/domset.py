@@ -58,8 +58,70 @@ def dominating_set_traced(
 
     The unit heap itself is a pointer structure over per-node slots;
     its traffic is modelled as one ``gain`` array access per unit
-    update plus the ``covered`` flag probes.
+    update plus the ``covered`` flag probes.  Line ids go straight
+    into the trace through a :class:`~repro.cache.layout.LineRecorder`.
+    The heap takes the initial gains as one batch and each pop's
+    decrements as one batch before the next pop: its tie-break is a
+    function of its current state only, so it pops exactly what the
+    unit-at-a-time oracle pops.
     """
+    n = graph.num_nodes
+    traced = declare_graph(memory, graph, include_in_csr=True)
+    assert traced.in_offsets is not None
+    assert traced.in_adjacency is not None
+    recorder = memory.recorder()
+    covered0, covered_s = recorder.line_map(memory.array("covered", n, 1))
+    gain0, gain_s = recorder.line_map(memory.array("gain", n, NODE_BYTES))
+    offsets0, offsets_s = recorder.line_map(traced.offsets)
+    in_offsets0, in_offsets_s = recorder.line_map(traced.in_offsets)
+    run = traced.adjacency.touch_run
+    in_run = traced.in_adjacency.touch_run
+    append = recorder.append
+    step = recorder.step
+    offsets = graph.offsets.data
+    adjacency = graph.adjacency
+    in_offsets = graph.in_offsets.data
+    in_adjacency = graph.in_adjacency
+    heap = UnitHeap(n)
+    heap.increase_batch(
+        np.arange(n, dtype=np.int64), np.diff(graph.offsets) + 1
+    )
+    covered = [False] * n
+    chosen: list[int] = []
+    remaining = n
+    while remaining > 0:
+        u = heap.pop_max()
+        append(gain0 + (u >> gain_s))
+        chosen.append(u)
+        append(offsets0 + (u >> offsets_s))
+        start = offsets[u]
+        end = offsets[u + 1]
+        run(start, end - start)
+        decrements: list[int] = []
+        for w in [u] + adjacency[start:end].tolist():
+            append(covered0 + (w >> covered_s))
+            if covered[w]:
+                continue
+            covered[w] = True
+            remaining -= 1
+            decrements.append(w)
+            append(gain0 + (w >> gain_s))
+            append(in_offsets0 + (w >> in_offsets_s))
+            in_start = in_offsets[w]
+            in_end = in_offsets[w + 1]
+            in_run(in_start, in_end - in_start)
+            for z in in_adjacency[in_start:in_end].tolist():
+                decrements.append(z)
+                append(gain0 + (z >> gain_s))
+        heap.decrease_batch(np.asarray(decrements, dtype=np.int64))
+        step()
+    return np.array(chosen, dtype=np.int64)
+
+
+def dominating_set_traced_scalar(
+    graph: CSRGraph, memory: Memory
+) -> np.ndarray:
+    """Per-touch oracle of :func:`dominating_set_traced`."""
     n = graph.num_nodes
     traced = declare_graph(memory, graph, include_in_csr=True)
     traced_covered = memory.array("covered", n, 1)

@@ -30,12 +30,16 @@ Two ``obs.profile`` phases make the runtime's cost visible in
 ``telemetry flamegraph``: ``algo.frontier.advance`` (gathering the
 frontier's edge stream) and ``algo.trace.flush`` (block ingestion).
 
-Not everything batches.  The binary-heap sifts of k-core and the
-union-find pointer chases of WCC are data-dependent *per access* —
-their exact sequences cannot be reordered or precomputed — so those
-algorithms keep their scalar emitters by design (the bucket-based
+Not everything batches.  The binary-heap sifts of k-core, DS's
+unit-heap greedy, Tarjan SCC, DFS and the union-find pointer chases of
+WCC are data-dependent *per access* — their exact sequences cannot be
+reordered or precomputed.  Kcore, DS, SCC and DFS instead write line
+ids straight into the trace buffer through a
+:class:`~repro.cache.layout.LineRecorder` (one bound ``append`` per
+reference, no per-touch method call or bounds check), with their
+per-touch loops kept as ``traced_scalar`` oracles; the bucket-based
 alternatives live in :mod:`repro.algorithms.deltastep` and
-:mod:`repro.algorithms.wkcore`).
+:mod:`repro.algorithms.wkcore`.
 """
 
 from __future__ import annotations

@@ -78,7 +78,110 @@ def strongly_connected_components(graph: CSRGraph) -> np.ndarray:
 def strongly_connected_components_traced(
     graph: CSRGraph, memory: Memory
 ) -> np.ndarray:
-    """Tarjan SCC with traced memory accesses."""
+    """Tarjan SCC with traced memory accesses.
+
+    Node state lives in Python lists and the CSR is read through
+    memoryviews, so the descent indexes no numpy scalars; line ids go
+    straight into the trace through a
+    :class:`~repro.cache.layout.LineRecorder`.
+    """
+    n = graph.num_nodes
+    traced = declare_graph(memory, graph)
+    recorder = memory.recorder()
+    disc0, disc_s = recorder.line_map(memory.array("disc", n, NODE_BYTES))
+    low0, low_s = recorder.line_map(memory.array("low", n, NODE_BYTES))
+    component0, component_s = recorder.line_map(
+        memory.array("component", n, NODE_BYTES)
+    )
+    on_stack0, on_stack_s = recorder.line_map(
+        memory.array("on_stack", n, 1)
+    )
+    stack0, stack_s = recorder.line_map(
+        memory.array("tarjan_stack", n, NODE_BYTES)
+    )
+    offsets0, offsets_s = recorder.line_map(traced.offsets)
+    adjacency0, adjacency_s = recorder.line_map(traced.adjacency)
+    append = recorder.append
+    step = recorder.step
+    # Views, not copies: a frame keeps only its resume position, so
+    # no neighbour list stays alive down a deep descent.
+    offsets = graph.offsets.data
+    adjacency = graph.adjacency.data
+    disc = [_UNSET] * n
+    low = [0] * n
+    component = [_UNSET] * n
+    on_stack = [False] * n
+    tarjan_stack: list[int] = []
+    counter = 0
+    components = 0
+    for root in range(n):
+        append(disc0 + (root >> disc_s))  # restart scan
+        if disc[root] != _UNSET:
+            continue
+        work: list[list[int]] = [[root, 0]]
+        while work:
+            frame = work[-1]
+            u, edge_index = frame
+            if edge_index == 0:
+                append(disc0 + (u >> disc_s))
+                append(low0 + (u >> low_s))
+                disc[u] = low[u] = counter
+                counter += 1
+                tarjan_stack.append(u)
+                append(stack0 + ((len(tarjan_stack) - 1) >> stack_s))
+                on_stack[u] = True
+                append(on_stack0 + (u >> on_stack_s))
+                append(offsets0 + (u >> offsets_s))
+            start = offsets[u]
+            end = offsets[u + 1]
+            descended = False
+            i = start + edge_index
+            low_u = low[u]
+            while i < end:
+                append(adjacency0 + (i >> adjacency_s))
+                v = adjacency[i]
+                i += 1
+                append(disc0 + (v >> disc_s))
+                disc_v = disc[v]
+                if disc_v == _UNSET:
+                    frame[1] = i - start
+                    work.append([v, 0])
+                    descended = True
+                    break
+                append(on_stack0 + (v >> on_stack_s))
+                if on_stack[v] and disc_v < low_u:
+                    append(low0 + (u >> low_s))
+                    low_u = disc_v
+            low[u] = low_u
+            if descended:
+                continue
+            append(low0 + (u >> low_s))
+            append(disc0 + (u >> disc_s))
+            if low_u == disc[u]:
+                while True:
+                    append(stack0 + ((len(tarjan_stack) - 1) >> stack_s))
+                    w = tarjan_stack.pop()
+                    on_stack[w] = False
+                    append(on_stack0 + (w >> on_stack_s))
+                    component[w] = components
+                    append(component0 + (w >> component_s))
+                    if w == u:
+                        break
+                components += 1
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                append(low0 + (parent >> low_s))
+                if low_u < low[parent]:
+                    low[parent] = low_u
+            step()
+    return np.asarray(component, dtype=np.int64)
+
+
+def strongly_connected_components_traced_scalar(
+    graph: CSRGraph, memory: Memory
+) -> np.ndarray:
+    """Per-touch oracle of :func:`strongly_connected_components_traced`."""
     n = graph.num_nodes
     traced = declare_graph(memory, graph)
     traced_disc = memory.array("disc", n, NODE_BYTES)

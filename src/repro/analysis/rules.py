@@ -642,7 +642,10 @@ class ScalarTouchLoopRule(Rule):
         "overhead the frontier runtime (``repro.algorithms.runtime``) "
         "exists to remove.  Algorithm code should batch accesses "
         "through ``touch_many``/``touch_runs`` or assemble whole "
-        "per-step blocks with the runtime's ``TraceEmitter``.  The "
+        "per-step blocks with the runtime's ``TraceEmitter``.  "
+        "Per-access, data-dependent sequences (heap sifts, DFS and "
+        "Tarjan descents) that cannot batch append line ids through "
+        "a ``Memory.recorder()`` (``LineRecorder``) instead.  The "
         "scalar oracle paths that define counter-identity are the "
         "deliberate exception; they carry inline noqa markers."
     )

@@ -8,6 +8,7 @@ from repro.cache.hierarchy import (
     scaled_hierarchy,
 )
 from repro.cache.layout import (
+    LineRecorder,
     Memory,
     TracedArray,
     chunk_accesses,
@@ -40,6 +41,7 @@ __all__ = [
     "paper_hierarchy",
     "scaled_hierarchy",
     "Memory",
+    "LineRecorder",
     "TracedArray",
     "chunk_accesses",
     "replay_fallbacks",

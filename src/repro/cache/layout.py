@@ -257,6 +257,48 @@ class TracedArray:
         )
 
 
+class LineRecorder:
+    """Direct line-id emission for per-access, data-dependent kernels.
+
+    Some traced loops cannot batch: a binary-heap sift or a Tarjan
+    descent decides its next reference from the data it just read.
+    A :class:`TracedArray.touch` call costs a method call, a bounds
+    check, the line arithmetic and a chunk check per reference; a
+    kernel on the recorder pays one bound ``append`` of a line id it
+    computes itself.  Array bases are line-aligned and item sizes are
+    powers of two, so element ``i`` of an array lies on line
+    ``first_line + (i >> shift)`` for the pair :meth:`line_map` hands
+    out.  Indices are not range-checked: a kernel uses the recorder
+    only where its indices are in range by construction.
+
+    ``append`` is the trace buffer's single-touch channel, which the
+    memory clears in place whenever it replays (also mid-step, when a
+    ``touch_run`` fills a chunk), so the bound method stays valid for
+    the memory's lifetime.  :meth:`step` applies the chunk bound; call
+    it once per outer step of the kernel.
+    """
+
+    __slots__ = ("append", "_memory")
+
+    def __init__(self, memory: "Memory") -> None:
+        self._memory = memory
+        #: Record one demand access to a line id (no checks).
+        self.append = memory._trace.touches.append
+
+    def line_map(self, array: TracedArray) -> tuple[int, int]:
+        """``(first_line, shift)`` of ``array``: element ``i`` lies on
+        line ``first_line + (i >> shift)``."""
+        line_shift = self._memory._line_shift
+        return (
+            array._base >> line_shift,
+            line_shift - (array.itemsize.bit_length() - 1),
+        )
+
+    def step(self) -> None:
+        """Replay the buffer if the step just recorded filled a chunk."""
+        self._memory._buffered()
+
+
 class Memory:
     """Simulated address space + cache hierarchy + cost accounting.
 
@@ -334,6 +376,10 @@ class Memory:
         self.arrays[name] = array
         return array
 
+    def recorder(self) -> "LineRecorder":
+        """A :class:`LineRecorder` over this memory's trace buffer."""
+        return LineRecorder(self)
+
     def work(self, cycles: float) -> None:
         """Account pure-CPU work that performs no data reference."""
         self.extra_work += cycles
@@ -393,7 +439,7 @@ class Memory:
         if self._trace.empty:
             return
         trace = self._trace.freeze()
-        self._trace = TraceBuffer(self._line_shift)
+        self._trace.clear()
         lines = trace.lines
         total = trace.num_accesses
         hierarchy = self._hierarchy
@@ -465,4 +511,4 @@ class Memory:
         self._level_counts = [0] * (self._hierarchy.num_levels + 1)
         self.extra_work = 0.0
         self._prefetched_refs = 0
-        self._trace = TraceBuffer(self._line_shift)
+        self._trace.clear()

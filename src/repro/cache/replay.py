@@ -717,6 +717,13 @@ class TraceBuffer:
     def __init__(self, line_shift: int = 6) -> None:
         self.touches: array[int] = array("q")
         self._line_shift = line_shift
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop everything recorded, keeping the same ``touches``
+        object: a bound ``touches.append`` (see
+        :class:`~repro.cache.layout.LineRecorder`) stays valid."""
+        del self.touches[:]
         self._runs: list[tuple[int, int, int, int]] = []
         self._many_idx: list[np.ndarray] = []
         self._many_meta: list[tuple[int, int, int, int, int]] = []
@@ -853,7 +860,9 @@ class TraceBuffer:
 
     def freeze(self) -> CacheTrace:
         """Interleave all channels into one flat :class:`CacheTrace`."""
-        touches = np.asarray(self.touches, dtype=np.int64)
+        # A copy, not a view: a live export would stop ``clear`` from
+        # resizing ``touches`` in place.
+        touches = np.array(self.touches, dtype=np.int64)
         num_touches = touches.shape[0]
         if self._runs:
             runs = np.asarray(self._runs, dtype=np.int64)

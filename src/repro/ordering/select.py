@@ -203,12 +203,20 @@ def _probe_candidate(
     config: CandidateConfig,
     seed: int,
 ) -> tuple[np.ndarray, float, float]:
-    """``(perm, ordering_seconds, probe_cycles)`` for one candidate."""
+    """``(perm, ordering_seconds, probe_cycles)`` for one candidate.
+
+    ``original`` is charged zero ordering seconds: keeping the input
+    order costs no pass, which is what the amortisation model assumes
+    (its identity permutation takes measurable but meaningless time).
+    """
     start = time.perf_counter()
     perm = registry.compute_ordering(
         config.ordering, graph, seed=seed, **config.ordering_params()
     )
-    ordering_seconds = time.perf_counter() - start
+    ordering_seconds = (
+        0.0 if config.ordering == "original"
+        else time.perf_counter() - start
+    )
     cycles, _ = probe_arrangement(graph, perm)
     return perm, ordering_seconds, float(cycles)
 

@@ -59,11 +59,14 @@ reports a speedup.  Schema (version 1)::
     }
 
 Finally the **algorithm-runtime benchmark**
-(:func:`run_algos_bench`, ``BENCH_algos.json``): every frontier-shaped
-traced algorithm runs twice over the same dataset — once through its
-scalar per-touch oracle, once through the vectorised frontier runtime
-(:mod:`repro.algorithms.runtime`) — and the harness enforces identical
-results *and* per-level cache counters before reporting.  The headline
+(:func:`run_algos_bench`, ``BENCH_algos.json``): every registered
+algorithm with an oracle emitter (``AlgorithmSpec.traced_scalar``) runs
+twice over the same dataset — once through its scalar per-touch
+oracle, once through its fast emitter (the frontier runtime of
+:mod:`repro.algorithms.runtime` or a
+:class:`~repro.cache.layout.LineRecorder` kernel) — and the harness
+enforces identical results, per-level cache counters *and* line
+streams handed to the hierarchy before reporting.  The headline
 timing covers the traced run through trace materialisation (algorithm
 body + touch recording + buffer freeze); the downstream LRU simulation
 is the same work for both emitters (it is ``cache_replay``'s subject)
@@ -81,7 +84,7 @@ Schema (version 1)::
         "<name>": {"scalar_seconds", "runtime_seconds", "speedup",
                    "simulate_seconds": {"scalar", "runtime"},
                    "level_counts", "total_refs", "prefetched_refs",
-                   "identical"}
+                   "accesses", "identical"}
       },
       "totals": {"scalar_seconds", "runtime_seconds"},
       "speedup_runtime_vs_scalar": float,  # the headline number
@@ -94,6 +97,7 @@ Schema (version 1)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -102,6 +106,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.algorithms.base import REGISTRY
 from repro.cache.hierarchy import CacheHierarchy
 from repro.errors import InvalidParameterError, ReproError
 from repro.graph.generators import social_graph
@@ -379,6 +384,32 @@ class _EmitOnly(CacheHierarchy):
         return np.zeros(len(lines), dtype=np.int16)
 
 
+class _StreamDigest(CacheHierarchy):
+    """A hierarchy that digests the line stream it is handed, in
+    order, before simulating it.
+
+    The digest is of the concatenated stream, so it does not depend on
+    where a ``Memory`` cut its chunks, and it takes constant memory —
+    unlike :class:`~repro.cache.reuse.RecordingHierarchy`, which keeps
+    every line id (760 MB for triangle counting on sdarc).
+    """
+
+    def __init__(self, inner: CacheHierarchy) -> None:
+        super().__init__(inner.levels, name=inner.name)
+        self.accesses = 0
+        self._digest = hashlib.blake2b(digest_size=16)
+
+    def replay(self, lines) -> np.ndarray:
+        self._digest.update(
+            np.ascontiguousarray(lines, dtype=np.int64).tobytes()
+        )
+        self.accesses += len(lines)
+        return super().replay(lines)
+
+    def hexdigest(self) -> str:
+        return self._digest.hexdigest()
+
+
 class _Stepped(CacheHierarchy):
     """A hierarchy that cannot replay, so a ``Memory`` over it resolves
     its trace with :meth:`CacheHierarchy.step_trace` (the step
@@ -531,10 +562,11 @@ def _bench_end_to_end(graph, factory, config: CacheBenchConfig) -> dict:
 # ----------------------------------------------------------------------
 # Frontier-runtime algorithm benchmark
 # ----------------------------------------------------------------------
-#: Algorithms with a vectorised runtime port (scalar oracle retained);
-#: the traced acceptance workload of ``BENCH_algos.json``.
-RUNTIME_ALGORITHMS: tuple[str, ...] = (
-    "nq", "bfs", "sp", "pr", "lp", "diam"
+#: Every registered algorithm with an oracle emitter, in registry
+#: order: the traced acceptance workload of ``BENCH_algos.json``.
+RUNTIME_ALGORITHMS: tuple[str, ...] = tuple(
+    name for name, spec in REGISTRY.items()
+    if spec.traced_scalar is not None
 )
 
 
@@ -579,11 +611,13 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
     """Run the traced algorithm suite under both emitters; the payload.
 
     Every algorithm runs twice over the same dataset and hierarchy —
-    once through its scalar-loop oracle, once through the vectorised
-    frontier runtime — and :class:`BenchRegressionError` is raised
-    unless the results **and** the per-level cache counters are
-    identical: the runtime's whole contract is emitting the exact
-    touch sequence the scalar code does, so any divergence is a
+    once through its scalar-loop oracle, once through its fast
+    emitter — and :class:`BenchRegressionError` is raised unless the
+    results, the per-level cache counters **and** the line streams
+    the hierarchy receives (digested in order as it replays them) are
+    identical: the
+    fast emitter's whole contract is emitting the exact touch
+    sequence the scalar code does, so any divergence is a
     correctness bug, not a perf trade-off.
 
     The headline timing covers the traced run end-to-end through
@@ -596,9 +630,9 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
     rather than folded into the emitter ratio.  Replay streams in
     chunks inside the traced run, so the simulation is measured as
     the difference between a full run and an emission-only run whose
-    hierarchy skips the simulation.
+    hierarchy skips the simulation; the full run digests its line
+    stream, which costs both emitters the same.
     """
-    from repro.algorithms import base as algorithms
     from repro.cache import Memory
     from repro.graph import datasets
 
@@ -617,7 +651,7 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
         hierarchy=config.hierarchy, quick=config.quick,
     ):
         for name in RUNTIME_ALGORITHMS:
-            algorithm = algorithms.spec(name)
+            algorithm = REGISTRY[name]
             params = params_by_algo.get(name, {})
 
             def run(traced):
@@ -631,28 +665,32 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
                     return memory.level_counts
 
                 def simulate():
-                    memory = Memory(factory())
+                    stream = _StreamDigest(factory())
+                    memory = Memory(stream)
                     result = traced(graph, memory, **params)
-                    return result, memory, list(memory.level_counts)
+                    counts = list(memory.level_counts)
+                    return result, memory, counts, stream
 
                 _, seconds = _timed(emit, config.repeats)
                 # The LRU simulation is the difference to a full run
                 # (identical input either way).
-                (result, memory, counts), full_seconds = _timed(
+                (result, memory, counts, stream), full_seconds = _timed(
                     simulate, config.repeats
                 )
                 sim_seconds = max(0.0, full_seconds - seconds)
                 return (
                     result, counts, memory.total_refs,
-                    memory.prefetched_refs, seconds, sim_seconds,
+                    memory.prefetched_refs,
+                    (stream.accesses, stream.hexdigest()),
+                    seconds, sim_seconds,
                 )
 
             (
-                s_result, s_counts, s_refs, s_prefetched,
+                s_result, s_counts, s_refs, s_prefetched, s_stream,
                 scalar_seconds, scalar_sim,
             ) = run(algorithm.traced_scalar)
             (
-                r_result, r_counts, r_refs, r_prefetched,
+                r_result, r_counts, r_refs, r_prefetched, r_stream,
                 runtime_seconds, runtime_sim,
             ) = run(algorithm.traced)
             identical = (
@@ -662,6 +700,7 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
                 and s_counts == r_counts
                 and s_refs == r_refs
                 and s_prefetched == r_prefetched
+                and s_stream == r_stream
             )
             if not identical:
                 raise BenchRegressionError(
@@ -686,6 +725,7 @@ def run_algos_bench(config: AlgosBenchConfig | None = None) -> dict:
                 "level_counts": s_counts,
                 "total_refs": s_refs,
                 "prefetched_refs": s_prefetched,
+                "accesses": s_stream[0],
                 "identical": identical,
             }
 

@@ -29,6 +29,7 @@ from repro.algorithms.runtime import (
 from repro.cache import CacheHierarchy, CacheLevel, Memory
 from repro.errors import InvalidParameterError
 from repro.graph import from_edges, generators
+from repro.perf.bench import RUNTIME_ALGORITHMS
 from tests.conftest import RESOLVERS, resolved_by
 
 
@@ -233,7 +234,11 @@ class TestTraceEmitter:
 # ---------------------------------------------------------------------
 # Oracle wiring: the scalar emitter each runtime port is checked against
 # ---------------------------------------------------------------------
-RUNTIME_PORTED = ("nq", "bfs", "sp", "pr", "lp", "diam", "tc")
+#: Every registered algorithm with an oracle emitter.
+RUNTIME_PORTED = tuple(
+    name for name, spec in REGISTRY.items()
+    if spec.traced_scalar is not None
+)
 
 
 class TestBackendDispatch:
@@ -247,14 +252,13 @@ class TestBackendDispatch:
         )
 
     def test_scalar_backend_falls_back_without_an_oracle(self):
-        spec = REGISTRY["kcore"]  # scalar by design: no separate oracle
+        spec = REGISTRY["wcc"]  # scalar by design: no separate oracle
         assert spec.traced_scalar is None
 
     def test_every_oracle_is_parity_tested(self):
-        assert set(RUNTIME_PORTED) == {
-            name for name, spec in REGISTRY.items()
-            if spec.traced_scalar is not None
-        }
+        # The algos bench checks the same pairs the parity tests do.
+        assert RUNTIME_PORTED == RUNTIME_ALGORITHMS
+        assert {"tc", "kcore", "ds", "scc", "dfs"} <= set(RUNTIME_PORTED)
 
 
 # ---------------------------------------------------------------------

@@ -349,3 +349,55 @@ class TestBatchTouchApis:
             memory.touch_block(
                 np.asarray([1, 2]), np.asarray([True])
             )
+
+
+class TestLineRecorder:
+    @pytest.mark.parametrize("itemsize", [1, 2, 4, 8, 64])
+    def test_line_map_matches_line_of(self, itemsize):
+        memory = small_replay_memory()
+        memory.array("pad", 5, 4)
+        array = memory.array("a", 300, itemsize)
+        first, shift = memory.recorder().line_map(array)
+        assert [first + (i >> shift) for i in range(300)] == [
+            array.line_of(i) for i in range(300)
+        ]
+
+    def test_appends_match_scalar_touches(self):
+        indices = [0, 17, 3, 40, 17, 63, 0]
+        touched = small_replay_memory()
+        array = touched.array("a", 64, 8)
+        for i in indices:
+            array.touch(i)
+        recorded = small_replay_memory()
+        recorder = recorded.recorder()
+        first, shift = recorder.line_map(recorded.array("a", 64, 8))
+        for i in indices:
+            recorder.append(first + (i >> shift))
+        assert recorded.level_counts == touched.level_counts
+        assert recorded.total_refs == touched.total_refs
+
+    def test_append_survives_replays_and_reset(self):
+        memory = small_replay_memory()
+        memory._chunk = 2
+        recorder = memory.recorder()
+        run = memory.array("a", 64, 8).touch_run
+        for line in range(5):
+            recorder.append(line)
+            run(0, 16)  # fills the chunk: replays mid-step
+        assert memory.total_refs == 5 + 5 * 16
+        memory.reset()
+        recorder.append(0)
+        assert memory.level_counts == [1, 0, 0, 0]
+
+    def test_step_replays_a_full_chunk(self):
+        memory = small_replay_memory()
+        memory._chunk = 3
+        recorder = memory.recorder()
+        recorder.append(0)
+        recorder.append(1)
+        recorder.step()
+        assert memory._trace.num_accesses == 2  # below the bound
+        recorder.append(2)
+        recorder.step()
+        assert memory._trace.empty
+        assert sum(memory._level_counts) == 3

@@ -72,6 +72,16 @@ class TestSelectOrdering:
         assert decision.probes[0].ordering == "original"
         assert decision.probes[0].break_even_queries == 0.0
 
+    def test_baseline_costs_no_ordering_time(self, graph):
+        # The identity permutation takes measurable time, but keeping
+        # the input order is no pass: the model charges it nothing.
+        decision = select_ordering(graph, candidates=LIGHT)
+        assert decision.probes[0].ordering_seconds == 0.0
+        assert decision.probes[0].amortised_seconds == (
+            decision.query_volume * decision.probes[0].probe_cycles
+            / decision.clock_hz
+        )
+
     def test_zero_volume_picks_cheapest_ordering(self, graph):
         # With no queries to amortise over, ordering cost is the whole
         # bill and the free baseline wins.
